@@ -2,10 +2,8 @@
 Dormand-Prince 5(4) step loop with PI step-size control and quartic dense
 output.
 
-The kernels compile with numba when it is importable; setting the environment
-variable ``KINVAR_NO_NUMBA=1`` (checked once at import) selects the plain
-Python/numpy fallback, which runs the very same source undecorated. Networks
-arrive as flat arrays so the compiled code never touches Python objects:
+The kernels are plain Python/numpy loops over flat arrays, so they never
+touch network objects:
 
 - ``term_*``   one entry per reaction direction with a positive rate constant;
   ``term_sp``/``term_pw`` list the rate-law species and their integer powers
@@ -16,30 +14,9 @@ arrive as flat arrays so the compiled code never touches Python objects:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 _EPS = 2.220446049250313e-16
-
-_disabled = os.environ.get("KINVAR_NO_NUMBA", "").strip().lower() in {
-    "1", "true", "yes", "on"
-}
-NUMBA_ENABLED = False
-if not _disabled:
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        pass
-
-if NUMBA_ENABLED:
-    def _jit(func):
-        return _njit(cache=True)(func)
-else:
-    def _jit(func):
-        return func
 
 
 # Dormand-Prince RK5(4) tableau. E is the difference between the 5th- and
@@ -77,7 +54,6 @@ STATUS_STEP_UNDERFLOW = 1
 STATUS_NEGATIVE = 2
 
 
-@_jit
 def rhs_packed(c, term_k, term_ptr, term_sp, term_pw,
                chg_ptr, chg_sp, chg_co, out):
     """dc/dt for a packed mass-action network, written into ``out``."""
@@ -94,7 +70,6 @@ def rhs_packed(c, term_k, term_ptr, term_sp, term_pw,
                 out[chg_sp[j]] += chg_co[j] * rate
 
 
-@_jit
 def integrate_dp54(term_k, term_ptr, term_sp, term_pw,
                    chg_ptr, chg_sp, chg_co,
                    c0, times, rtol, atol, max_step, dense):

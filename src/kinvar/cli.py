@@ -17,7 +17,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -34,7 +34,6 @@ from .errors import (
     ConfigError,
     ConservationError,
     DegenerateExperimentError,
-    DetailedBalanceError,
     IntegrationError,
     KinvarError,
     MultipleEquilibriaError,
@@ -74,7 +73,6 @@ _INPUT_ERRORS = (
     NetworkValidationError,
     NoReversiblePathError,
     BalanceError,
-    DetailedBalanceError,
     FileNotFoundError,
     ValueError,
 )
@@ -249,10 +247,7 @@ def _default_times(net: ReactionNetwork, points: int = 400) -> np.ndarray:
         return default_time_grid(build_rate_matrix(net), points)
     rates = [r.k_forward for r in net.reactions]
     rates += [r.k_backward for r in net.reactions if r.reversible]
-    t_max = 10.0 / min(rates)
-    return np.concatenate(
-        ([0.0], np.geomspace(1e-3 * t_max, t_max, points))
-    )
+    return GridSpec(10.0 / min(rates), points, "geometric").times()
 
 
 def _closed_form_dual(net: ReactionNetwork, a: int, b: int,
@@ -374,14 +369,11 @@ def _prepare(args) -> tuple:
                           f"{exc.msg}") from None
     sc = parse_scenario(data, path.parent)
     if args.grid is not None:
-        sc = Scenario(sc.network, sc.experiment, _parse_grid_flag(args.grid),
-                      sc.invariants, sc.engine, sc.balance)
+        sc = replace(sc, grid=_parse_grid_flag(args.grid))
     if getattr(args, "engine", None):
-        sc = Scenario(sc.network, sc.experiment, sc.grid, sc.invariants,
-                      args.engine, sc.balance)
+        sc = replace(sc, engine=args.engine)
     if getattr(args, "balance", False):
-        sc = Scenario(sc.network, sc.experiment, sc.grid, sc.invariants,
-                      sc.engine, "enforce")
+        sc = replace(sc, balance="enforce")
     return sc, Path(args.out)
 
 
@@ -587,10 +579,12 @@ def cmd_balance(args) -> int:
     before = check_cycle_conditions(net)
     balanced = balance_network(net)
     after = check_cycle_conditions(balanced)
+    # a cycle step against its reaction's direction rescales k_forward
     changes = [
-        abs(b.k_backward / a.k_backward - 1.0)
+        abs(new / old - 1.0)
         for a, b in zip(net.reactions, balanced.reactions)
-        if a.reversible
+        for old, new in ((a.k_forward, b.k_forward), (a.k_backward, b.k_backward))
+        if old > 0.0
     ]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -26,10 +26,6 @@ class NoReversiblePathError(KinvarError):
     """The requested species pair is not connected by reversible steps."""
 
 
-class DetailedBalanceError(KinvarError):
-    """Exact detailed balance was required but a cycle condition fails."""
-
-
 class IntegrationError(KinvarError):
     """Adaptive integration failed; carries the time of failure."""
 

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateExperimentError, DetailedBalanceError
+from .errors import DegenerateExperimentError
 from .laplace import path_equilibrium_constant
 from .linear import build_rate_matrix, equilibrium_composition
 from .network import ReactionNetwork, mass_action_rhs
@@ -55,18 +55,16 @@ class InvariantSpec:
 def resolve_expected_K(net: ReactionNetwork, kind: str, a: int, b: int) -> InvariantSpec:
     """Build a spec with the constant the network itself implies.
 
-    First-order kinds take the exact path product of forward/backward ratios;
-    the two second-order kinds take k_forward/k_backward of the reversible
-    reaction whose stoichiometry matches the kind (2a -> b or 2a -> 2b, in
-    either orientation). On networks that violate detailed balance the path
-    product is ambiguous, and the shortest reversible path's product is used
-    (for a directly connected pair that is just its own rate ratio).
+    First-order kinds take the exact product of forward/backward ratios along
+    a shortest reversible path; the two second-order kinds take
+    k_forward/k_backward of the reversible reaction whose stoichiometry
+    matches the kind (2a -> b or 2a -> 2b, in either orientation). On
+    networks that violate detailed balance the path product is ambiguous, and
+    the shortest path's product is the one used (for a directly connected
+    pair that is just its own rate ratio).
     """
     if kind in ("linear_ratio", "path_product"):
-        try:
-            K = float(path_equilibrium_constant(net, a, b))
-        except DetailedBalanceError:
-            K = float(path_equilibrium_constant(net, a, b, require_consistent=False))
+        K = float(path_equilibrium_constant(net, a, b))
         return InvariantSpec(kind, (a, b), K, "from-path-product")
     product_coeff = 1 if kind == "nonlinear_2A_B" else 2
     for rxn in net.reactions:

@@ -21,8 +21,15 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Optional, Sequence
 
-from .errors import DetailedBalanceError, NoReversiblePathError
-from .network import ReactionNetwork
+from .errors import NoReversiblePathError
+from .network import (
+    ReactionNetwork,
+    merged_rates,
+    path_products,
+    reversible_edges,
+    shortest_path,
+    spanning_forest,
+)
 
 _FOREST_LIMIT = 12
 
@@ -385,18 +392,6 @@ def transfer_function_cofactor(M, source: int, target: int) -> RationalFunction:
 # spanning-forest route
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Forest:
-    """Spanning in-forest: every non-root has one edge toward its tree's root."""
-
-    edges: frozenset
-    roots: frozenset
-    weight: Fraction = Fraction(1)
-
-    def sort_key(self):
-        return (sorted(self.roots), sorted(self.edges))
-
-
 def _out_neighbors(entries: ExactEntries) -> list:
     """adjacency[u] = sorted list of v with an edge u -> v (rate M[v][u] > 0)."""
     n = len(entries)
@@ -404,65 +399,6 @@ def _out_neighbors(entries: ExactEntries) -> list:
         [v for v in range(n) if v != u and entries[v][u] > 0]
         for u in range(n)
     ]
-
-
-def enumerate_forests(M, roots: Iterable[int],
-                      constrained: Optional[tuple] = None) -> list:
-    """All spanning in-forests with the given root set, heaviest structure first.
-
-    ``constrained`` is an optional (vertex, root) pair restricting the output
-    to forests in which ``vertex`` lies in the tree rooted at ``root``. Each
-    forest carries the product of its edge rate constants as its weight.
-    Deterministic order: sorted by root list, then edge list.
-    """
-    entries = exact_entries(M)
-    n = len(entries)
-    if n > _FOREST_LIMIT:
-        raise ValueError(f"forest enumeration is limited to {_FOREST_LIMIT} species")
-    roots = frozenset(roots)
-    if not roots <= set(range(n)):
-        raise IndexError("root index out of range")
-    adj = _out_neighbors(entries)
-    non_roots = [v for v in range(n) if v not in roots]
-    parent = {v: None for v in range(n)}
-    found = []
-
-    def root_of(v):
-        while parent[v] is not None:
-            v = parent[v]
-        return v
-
-    def descend(idx):
-        if idx == len(non_roots):
-            if constrained is not None:
-                vert, want = constrained
-                if root_of(vert) != want:
-                    return
-            edges = frozenset((v, parent[v]) for v in non_roots)
-            w = reduce(
-                lambda acc, e: acc * entries[e[1]][e[0]], edges, Fraction(1)
-            )
-            found.append(Forest(edges, roots, w))
-            return
-        v = non_roots[idx]
-        for w in adj[v]:
-            # walking parent pointers from w back to v would close a cycle
-            u = w
-            cyc = False
-            while u is not None:
-                if u == v:
-                    cyc = True
-                    break
-                u = parent[u]
-            if cyc:
-                continue
-            parent[v] = w
-            descend(idx + 1)
-            parent[v] = None
-
-    descend(0)
-    found.sort(key=Forest.sort_key)
-    return found
 
 
 def _forest_sweep(entries: ExactEntries):
@@ -535,41 +471,22 @@ def all_transfer_functions_forest(M) -> dict:
 # reversible paths, cycle products, proportionality proof
 # ---------------------------------------------------------------------------
 
-def _reversible_adjacency(entries: ExactEntries) -> list:
+def _rate_map(entries: ExactEntries) -> dict:
+    """Sparse rate map ``rates[(u, v)] = M[v][u]`` of the positive off-diagonal entries."""
     n = len(entries)
-    return [
-        [v for v in range(n)
-         if v != u and entries[v][u] > 0 and entries[u][v] > 0]
-        for u in range(n)
-    ]
+    return {
+        (u, v): entries[v][u]
+        for u in range(n) for v in range(n)
+        if u != v and entries[v][u] > 0
+    }
 
 
-def _reversible_path(entries: ExactEntries, a: int, b: int) -> Optional[list]:
-    """Vertex list of a shortest reversible path a -> b, or None."""
-    if a == b:
-        return [a]
-    adj = _reversible_adjacency(entries)
-    prev = {a: None}
-    queue = [a]
-    while queue:
-        u = queue.pop(0)
-        for v in adj[u]:
-            if v not in prev:
-                prev[v] = u
-                if v == b:
-                    path = [b]
-                    while prev[path[-1]] is not None:
-                        path.append(prev[path[-1]])
-                    return list(reversed(path))
-                queue.append(v)
-    return None
-
-
-def _path_product(entries: ExactEntries, path: Sequence[int]) -> Fraction:
-    out = Fraction(1)
-    for u, v in zip(path, path[1:]):
-        out *= Fraction(entries[v][u], 1) / entries[u][v]
-    return out
+def _reversible_path_constant(n: int, rates: dict, a: int, b: int) -> Optional[Fraction]:
+    """Product of rate ratios along a shortest reversible path a -> b, or None."""
+    path = shortest_path(n, reversible_edges(rates), a, b)
+    if path is None:
+        return None
+    return Fraction(*path_products(rates, path))
 
 
 @dataclass(frozen=True)
@@ -604,61 +521,16 @@ def exact_cycle_violations(M) -> list:
     exactly).
     """
     entries = exact_entries(M)
-    n = len(entries)
-    adj = _reversible_adjacency(entries)
-    parent = {}
-    order = []
-    seen = set()
-    for start in range(n):
-        if start in seen:
-            continue
-        seen.add(start)
-        parent[start] = None
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    parent[v] = u
-                    stack.append(v)
-    tree_edges = {frozenset((v, p)) for v, p in parent.items() if p is not None}
+    return _cycle_violations(len(entries), _rate_map(entries))
+
+
+def _cycle_violations(n: int, rates: dict) -> list:
     violations = []
-    for u in range(n):
-        for v in adj[u]:
-            if v < u or frozenset((u, v)) in tree_edges:
-                continue
-            path = _tree_path(parent, v, u)
-            cycle = [u] + path  # closed walk u -> v -> ... -> u
-            fwd = Fraction(1)
-            back = Fraction(1)
-            for x, y in zip(cycle, cycle[1:]):
-                fwd *= entries[y][x]
-                back *= entries[x][y]
-            if fwd != back:
-                violations.append(CycleViolation(tuple(cycle), fwd, back))
+    for cycle in spanning_forest(n, reversible_edges(rates)).cycles():
+        fwd, back = path_products(rates, cycle)
+        if fwd != back:
+            violations.append(CycleViolation(tuple(cycle), fwd, back))
     return violations
-
-
-def _tree_path(parent: dict, src: int, dst: int) -> list:
-    """Path src -> dst through the spanning forest given by parent pointers."""
-    up_src = [src]
-    while parent[up_src[-1]] is not None:
-        up_src.append(parent[up_src[-1]])
-    up_dst = [dst]
-    while parent[up_dst[-1]] is not None:
-        up_dst.append(parent[up_dst[-1]])
-    if up_src[-1] != up_dst[-1]:
-        raise ValueError("vertices lie in different components")
-    common = None
-    in_src = {x: i for i, x in enumerate(up_src)}
-    for j, x in enumerate(up_dst):
-        if x in in_src:
-            common = x
-            break
-    i = in_src[common]
-    return up_src[:i + 1] + list(reversed(up_dst[:j]))
 
 
 @dataclass(frozen=True)
@@ -708,13 +580,13 @@ def prove_fixed_proportion(M, a: int, b: int) -> ProofReport:
         raise IndexError("species index out of range")
     if a == b:
         raise ValueError("fixed proportion needs two distinct species")
-    path = _reversible_path(entries, a, b)
-    if path is None:
+    rates = _rate_map(entries)
+    K = _reversible_path_constant(n, rates, a, b)
+    if K is None:
         raise NoReversiblePathError(
             f"species {a} and {b} are not connected by reversible steps"
         )
-    K = _path_product(entries, path)
-    violations = tuple(exact_cycle_violations(entries))
+    violations = tuple(_cycle_violations(n, rates))
     num_ba = cofactor_numerator(entries, a, b)
     num_ab = cofactor_numerator(entries, b, a)
     scaled = K * num_ab
@@ -734,81 +606,26 @@ def prove_fixed_proportion(M, a: int, b: int) -> ProofReport:
     )
 
 
-def path_equilibrium_constant(
-    net: ReactionNetwork, a: int, b: int, require_consistent: bool = True
-) -> Fraction:
-    """Product of forward/backward rate ratios along a reversible path a -> b.
+def path_equilibrium_constant(net: ReactionNetwork, a: int, b: int) -> Fraction:
+    """Product of forward/backward rate ratios along a shortest reversible path a -> b.
 
-    All simple reversible paths are enumerated and must agree exactly; a
-    disagreement means some cycle violates detailed balance, and extrapolating
-    a single path's product would silently pick one of several inconsistent
-    answers. ``require_consistent=False`` skips that check and returns the
-    product along a shortest reversible path, which is the sensible reading
-    for networks that are only approximately balanced. Parallel reactions
-    between the same pair are merged by summing rates before forming ratios.
+    Parallel reactions between one pair are merged by summing their rates
+    before ratios are formed. On a detailed-balanced network every reversible
+    path gives this same product, K_ab = h_b/h_a; on an unbalanced one the
+    shortest path's product is the sensible reading (for a directly connected
+    pair, its own merged rate ratio).
     """
     if not (0 <= a < net.n and 0 <= b < net.n):
         raise IndexError("species index out of range")
     if a == b:
         return Fraction(1)
-    entries = _merged_entries(net)
-    if not require_consistent:
-        path = _reversible_path(entries, a, b)
-        if path is None:
-            raise NoReversiblePathError(
-                f"species {net.names[a]!r} and {net.names[b]!r} are not "
-                "connected by reversible steps"
-            )
-        return _path_product(entries, path)
-    adj = _reversible_adjacency(entries)
-    products = []
-    path = [a]
-    on_path = {a}
-
-    def dfs(u):
-        if u == b:
-            products.append(_path_product(entries, path))
-            return
-        for v in adj[u]:
-            if v not in on_path:
-                path.append(v)
-                on_path.add(v)
-                dfs(v)
-                path.pop()
-                on_path.remove(v)
-
-    dfs(a)
-    if not products:
+    K = _reversible_path_constant(net.n, merged_rates(net, Fraction), a, b)
+    if K is None:
         raise NoReversiblePathError(
             f"species {net.names[a]!r} and {net.names[b]!r} are not connected "
             "by reversible steps"
         )
-    if any(p != products[0] for p in products[1:]):
-        raise DetailedBalanceError(
-            "path-dependent equilibrium constant: detailed balance is violated"
-        )
-    return products[0]
-
-
-def _merged_entries(net: ReactionNetwork) -> list:
-    """Off-diagonal totals of the first-order conversion rates, as Fractions.
-
-    Only the conversion structure is used here, so this accepts first-order
-    networks directly; diagonals are filled so columns sum to zero.
-    """
-    n = net.n
-    entries = [[Fraction(0)] * n for _ in range(n)]
-    for rxn in net.reactions:
-        if not rxn.first_order:
-            raise ValueError("exact path products need an all-first-order network")
-        u = rxn.reactants[0][0]
-        v = rxn.products[0][0]
-        entries[v][u] += _as_fraction(rxn.k_forward)
-        if rxn.reversible:
-            entries[u][v] += _as_fraction(rxn.k_backward)
-    for j in range(n):
-        entries[j][j] = -sum(entries[i][j] for i in range(n) if i != j)
-    return entries
+    return K
 
 
 def exact_balance(M) -> list:
@@ -824,29 +641,15 @@ def exact_balance(M) -> list:
     """
     entries = exact_entries(M)
     n = len(entries)
-    adj = _reversible_adjacency(entries)
+    rates = _rate_map(entries)
+    forest = spanning_forest(n, reversible_edges(rates))
     h = {}
-    parent = {}
-    for start in range(n):
-        if start in h:
-            continue
-        h[start] = Fraction(1)
-        parent[start] = None
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in h:
-                    h[v] = h[u] * entries[v][u] / entries[u][v]
-                    parent[v] = u
-                    stack.append(v)
-    tree_edges = {frozenset((v, p)) for v, p in parent.items() if p is not None}
+    for v in forest.order:
+        p = forest.parent[v]
+        h[v] = Fraction(1) if p is None else h[p] * rates[(p, v)] / rates[(v, p)]
     out = [row[:] for row in entries]
-    for u in range(n):
-        for v in adj[u]:
-            if v < u or frozenset((u, v)) in tree_edges:
-                continue
-            out[u][v] = out[v][u] * h[u] / h[v]
+    for u, v in forest.non_tree:
+        out[u][v] = out[v][u] * h[u] / h[v]
     for j in range(n):
         out[j][j] = -sum(out[i][j] for i in range(n) if i != j)
     return out

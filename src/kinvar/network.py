@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -238,156 +239,207 @@ def _edge_endpoints(rxn: Reaction) -> tuple[int, int]:
     return rxn.reactants[0][0], rxn.products[0][0]
 
 
-def _cycle_basis(
-    net: ReactionNetwork, reaction_ids: list[int]
-) -> list[list[tuple[int, int, int, bool]]]:
-    """Cycle basis of the undirected multigraph formed by ``reaction_ids``.
+def merged_rates(net: ReactionNetwork, number=float) -> dict[tuple[int, int], object]:
+    """Sparse merged rate map ``rates[(u, v)] = total k(u -> v)`` of a first-order network.
 
-    A depth-first spanning forest is grown over sorted adjacency; every
-    non-tree edge closes one basis cycle.  Each cycle is a traversal
-    ``(u, v, reaction_id, along_forward)`` where ``along_forward`` is True when
-    the step follows the reaction's reactant-to-product direction.
+    Parallel reactions between one pair of species add up, so the map holds
+    the rates the dynamics see.  Only positive rates get a key, and keys are
+    inserted in reaction order.  ``number`` converts each rate constant, e.g.
+    ``float`` or ``Fraction``.
     """
-    adj: dict[int, list[tuple[int, int, bool]]] = {}
-    for rid in reaction_ids:
-        u, v = _edge_endpoints(net.reactions[rid])
-        adj.setdefault(u, []).append((v, rid, True))
-        adj.setdefault(v, []).append((u, rid, False))
-    for lst in adj.values():
-        lst.sort()
+    rates: dict[tuple[int, int], object] = {}
+    for rxn in net.reactions:
+        if not rxn.first_order:
+            raise ValueError("merged rates need an all-first-order network")
+        u, v = _edge_endpoints(rxn)
+        rates[(u, v)] = rates.get((u, v), 0) + number(rxn.k_forward)
+        if rxn.reversible:
+            rates[(v, u)] = rates.get((v, u), 0) + number(rxn.k_backward)
+    return rates
 
-    parent: dict[int, tuple[int, int, bool]] = {}  # child -> (parent, rid, along_forward)
-    depth: dict[int, int] = {}
-    visited: set[int] = set()
-    tree_edges: set[int] = set()
-    cycles: list[list[tuple[int, int, int, bool]]] = []
 
-    for root in sorted(adj):
-        if root in visited:
+def reversible_edges(rates) -> list[tuple[int, int]]:
+    """Keys of a rate map whose reverse is also a key, in the map's order."""
+    return [(u, v) for u, v in rates if (v, u) in rates]
+
+
+def path_products(rates, walk) -> tuple:
+    """Rate products along a vertex walk and against it, in the arithmetic of ``rates``."""
+    along = against = 1
+    for x, y in zip(walk, walk[1:]):
+        along *= rates[(x, y)]
+        against *= rates[(y, x)]
+    return along, against
+
+
+def _adjacency(n: int, edges) -> list[list[int]]:
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return [sorted(nbrs) for nbrs in adj]
+
+
+@dataclass(frozen=True)
+class SpanningForest:
+    """Depth-first spanning forest of an undirected graph on species ``0..n-1``.
+
+    ``parent`` maps every vertex to its tree parent (``None`` for roots) and
+    ``order`` lists the vertices as discovered, parents before children.
+    ``non_tree`` holds each remaining edge once, in the order and orientation
+    of its first appearance in the edge list the forest was built from.
+    """
+
+    parent: dict[int, int | None]
+    order: tuple[int, ...]
+    non_tree: tuple[tuple[int, int], ...]
+
+    def tree_path(self, src: int, dst: int) -> list[int]:
+        """Vertex list of the unique tree path from ``src`` to ``dst``."""
+        up = [src]
+        while self.parent[up[-1]] is not None:
+            up.append(self.parent[up[-1]])
+        position = {x: i for i, x in enumerate(up)}
+        down = [dst]
+        while down[-1] not in position:
+            above = self.parent[down[-1]]
+            if above is None:
+                raise ValueError("vertices lie in different components")
+            down.append(above)
+        # up runs src -> common ancestor -> root, down runs dst -> common ancestor
+        return up[: position[down[-1]] + 1] + down[-2::-1]
+
+    def cycles(self) -> list[list[int]]:
+        """Fundamental cycles as closed walks ``u -> v -> ... -> u``, one per non-tree edge."""
+        return [[u] + self.tree_path(v, u) for u, v in self.non_tree]
+
+
+def spanning_forest(n: int, edges) -> SpanningForest:
+    """Spanning forest of the undirected graph of ``edges`` (pairs ``(u, v)``).
+
+    Roots are taken in index order and neighbours in sorted order; a vertex
+    is claimed by the first tree vertex that sees it.  Every basis cycle of
+    the graph closes one non-tree edge.
+    """
+    edges = list(edges)
+    adj = _adjacency(n, edges)
+    parent: dict[int, int | None] = {}
+    order: list[int] = []
+    for root in range(n):
+        if root in parent:
             continue
-        visited.add(root)
-        depth[root] = 0
+        parent[root] = None
+        order.append(root)
         stack = [root]
         while stack:
             u = stack.pop()
-            for v, rid, fwd in adj.get(u, ()):
-                if rid in tree_edges:
-                    continue
-                if v not in visited:
-                    visited.add(v)
-                    parent[v] = (u, rid, fwd)
-                    depth[v] = depth[u] + 1
-                    tree_edges.add(rid)
+            for v in adj[u]:
+                if v not in parent:
+                    parent[v] = u
+                    order.append(v)
                     stack.append(v)
-
-    for rid in reaction_ids:
-        if rid in tree_edges:
+    non_tree = []
+    seen = set()
+    for u, v in edges:
+        pair = (min(u, v), max(u, v))
+        if pair in seen:
             continue
-        u, v = _edge_endpoints(net.reactions[rid])
-        # close the cycle: u -> v over this edge, then v back to u along the tree
-        steps = [(u, v, rid, True)]
-        path_u, path_v = [], []
-        a, b = u, v
-        while depth[a] > depth[b]:
-            p, prid, pfwd = parent[a]
-            path_u.append((p, a, prid, pfwd))  # will be reversed below
-            a = p
-        while depth[b] > depth[a]:
-            p, prid, pfwd = parent[b]
-            path_v.append((b, p, prid, not pfwd))
-            b = p
-        while a != b:
-            p, prid, pfwd = parent[a]
-            path_u.append((p, a, prid, pfwd))
-            a = p
-            p, prid, pfwd = parent[b]
-            path_v.append((b, p, prid, not pfwd))
-            b = p
-        steps.extend(path_v)
-        steps.extend(reversed(path_u))
-        cycles.append(steps)
-    return cycles
+        seen.add(pair)
+        if parent[u] != v and parent[v] != u:
+            non_tree.append((u, v))
+    return SpanningForest(parent, tuple(order), tuple(non_tree))
 
 
-def _cycle_products(net: ReactionNetwork, steps) -> tuple[float, float]:
-    fwd = bwd = 1.0
-    for _, _, rid, along in steps:
-        rxn = net.reactions[rid]
-        if along:
-            fwd *= rxn.k_forward
-            bwd *= rxn.k_backward
-        else:
-            fwd *= rxn.k_backward
-            bwd *= rxn.k_forward
-    return fwd, bwd
+def shortest_path(n: int, edges, a: int, b: int) -> list[int] | None:
+    """Vertex list of a breadth-first shortest path ``a -> b`` over ``edges``, or None."""
+    if a == b:
+        return [a]
+    adj = _adjacency(n, edges)
+    prev: dict[int, int | None] = {a: None}
+    queue = deque([a])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in prev:
+                prev[v] = u
+                if v == b:
+                    path = [b]
+                    while prev[path[-1]] is not None:
+                        path.append(prev[path[-1]])
+                    return path[::-1]
+                queue.append(v)
+    return None
 
 
 def check_cycle_conditions(net: ReactionNetwork, tol: float = 1e-9) -> CycleConditionReport:
-    """Wegscheider cycle conditions on the reversible subgraph.
+    """Wegscheider cycle conditions on the reversible subgraph of the merged rates.
 
-    For every basis cycle the product of forward rate constants is compared
-    with the product of backward ones; ``satisfied`` holds when the largest
-    relative mismatch is within ``tol``.
+    For every basis cycle the product of rates along the cycle is compared
+    with the product against it; ``satisfied`` holds when the largest
+    relative mismatch is within ``tol``.  Parallel reactions between one pair
+    of species count as one edge carrying their summed rates.
     """
     _require_first_order(net, "check_cycle_conditions")
-    rev_ids = [r for r, rxn in enumerate(net.reactions) if rxn.reversible]
+    rates = merged_rates(net)
     cycles = []
-    for steps in _cycle_basis(net, rev_ids):
-        fwd, bwd = _cycle_products(net, steps)
-        cycles.append(CycleCondition(tuple((u, v) for u, v, _, _ in steps), fwd, bwd))
+    for cycle in spanning_forest(net.n, reversible_edges(rates)).cycles():
+        fwd, bwd = path_products(rates, cycle)
+        cycles.append(CycleCondition(tuple(zip(cycle, cycle[1:])), fwd, bwd))
     return CycleConditionReport(tuple(cycles), tol)
 
 
 def balance_network(net: ReactionNetwork, max_sweeps: int = 10_000) -> ReactionNetwork:
-    """Minimally rescale backward rate constants so every cycle condition holds.
+    """Minimally rescale backward rates so every cycle condition holds.
 
-    Per basis cycle, every backward constant in the cycle is multiplied by
-    ``(prod k_fwd / prod k_bwd) ** (1/len)``, which balances that cycle exactly.
-    "Backward" is relative to the cycle traversal: ``k_backward`` for steps
-    taken along the reaction direction, ``k_forward`` for steps against it.
-    Cycles sharing edges perturb each other, so the rule is swept cyclically
-    until the worst mismatch stops improving (a projection iteration with
-    geometric convergence).  Deterministic.
+    Per basis cycle of the merged reversible graph, every rate against the
+    cycle traversal is multiplied by ``(prod along / prod against) **
+    (1/len)``, which balances that cycle exactly.  On a reaction, the rate
+    against the traversal is ``k_backward`` when the step follows the
+    reaction direction and ``k_forward`` when it runs against it; parallel
+    reactions share the factor of their merged rate.  Cycles sharing edges
+    perturb each other, so the
+    rule is swept cyclically until the worst mismatch stops improving (a
+    projection iteration with geometric convergence).  Deterministic.
 
     Raises :class:`BalanceError` when some cycle of the full reaction graph
     contains an irreversible step (its backward product is pinned at zero).
     """
     _require_first_order(net, "balance_network")
-    for steps in _cycle_basis(net, list(range(len(net.reactions)))):
-        if any(not net.reactions[rid].reversible for _, _, rid, _ in steps):
+    rates = merged_rates(net)
+    for cycle in spanning_forest(net.n, rates).cycles():
+        steps = zip(cycle, cycle[1:])
+        if any((x, y) not in rates or (y, x) not in rates for x, y in steps):
             raise BalanceError("cycle contains an irreversible step; cannot balance")
 
-    rev_ids = [r for r, rxn in enumerate(net.reactions) if rxn.reversible]
-    cycles = _cycle_basis(net, rev_ids)
+    cycles = spanning_forest(net.n, reversible_edges(rates)).cycles()
     if not cycles:
         return net
 
-    kf = [rxn.k_forward for rxn in net.reactions]
-    kb = [rxn.k_backward for rxn in net.reactions]
+    k = dict(rates)
     prev_worst = math.inf
     for _ in range(max_sweeps):
         worst = 0.0
-        for steps in cycles:
-            fwd = bwd = 1.0
-            for _, _, rid, along in steps:
-                fwd *= kf[rid] if along else kb[rid]
-                bwd *= kb[rid] if along else kf[rid]
+        for cycle in cycles:
+            fwd, bwd = path_products(k, cycle)
             ratio = fwd / bwd
             worst = max(worst, abs(ratio - 1.0))
-            factor = ratio ** (1.0 / len(steps))
-            for _, _, rid, along in steps:
-                if along:
-                    kb[rid] *= factor
-                else:
-                    kf[rid] *= factor
+            factor = ratio ** (1.0 / (len(cycle) - 1))
+            for x, y in zip(cycle, cycle[1:]):
+                k[(y, x)] *= factor
         if worst < 1e-15 or (worst < 1e-12 and worst >= 0.9 * prev_worst):
             break  # converged, or stalled at the roundoff floor
         prev_worst = worst
 
-    rxns = [
-        replace(rxn, k_forward=kf[r], k_backward=kb[r]) if rxn.reversible else rxn
-        for r, rxn in enumerate(net.reactions)
-    ]
+    def rescaled(pair, old: float) -> float:
+        if old == 0.0 or k[pair] == rates[pair]:
+            return old
+        return k[pair] * (old / rates[pair])
+
+    rxns = []
+    for rxn in net.reactions:
+        u, v = _edge_endpoints(rxn)
+        rxns.append(replace(rxn, k_forward=rescaled((u, v), rxn.k_forward),
+                            k_backward=rescaled((v, u), rxn.k_backward)))
     return validate_network(replace(net, reactions=tuple(rxns)))
 
 

@@ -67,27 +67,6 @@ class DualExperiment:
         return self.from_a.network
 
 
-def linear_grid(t_max: float, points: int) -> np.ndarray:
-    if points < 2 or t_max <= 0:
-        raise ValueError("need t_max > 0 and at least 2 points")
-    return np.linspace(0.0, t_max, points)
-
-
-def geometric_grid(t_max: float, points: int, t_min: float | None = None) -> np.ndarray:
-    """``{0}`` followed by ``points`` geometrically spaced times up to ``t_max``.
-
-    The default span is ``[t_max/2000, t_max]``, wide enough to show both the
-    fast transient and the equilibrium plateau on a log axis.
-    """
-    if points < 2 or t_max <= 0:
-        raise ValueError("need t_max > 0 and at least 2 points")
-    if t_min is None:
-        t_min = t_max / 2000.0
-    if not 0 < t_min < t_max:
-        raise ValueError("need 0 < t_min < t_max")
-    return np.concatenate(([0.0], np.geomspace(t_min, t_max, points)))
-
-
 def write_trajectory_csv(path, traj: Trajectory, names=None) -> None:
     """CSV with header ``t,<species names...>`` at full double precision."""
     if names is None:

@@ -183,6 +183,32 @@ def test_balance_command(tmp_path, capsys):
     assert (tmp_path / "balanced_network.json").exists()
 
 
+def test_balance_report_counts_forward_rescaling(tmp_path, capsys):
+    # In the triangle the basis cycle B -> C -> A -> B runs against A -> C, so
+    # balancing rescales that reaction's k_forward. The second network adds
+    # the triangle D -> C -> A -> D sharing the step C -> A, so the k_forward
+    # of A -> C takes both cycles' factors and changes most.
+    triangle = [("B", "A", 1.0, 1.0), ("B", "C", 2.0, 1.0), ("A", "C", 1.0, 1.0)]
+    two_triangles = [("A", "B", 1.0, 1.0), ("A", "C", 1.0, 1.0), ("A", "D", 1.0, 1.0),
+                     ("B", "C", 2.0, 1.0), ("D", "C", 2.0, 1.0)]
+    for k, (names, edges) in enumerate([("ABC", triangle), ("ABCD", two_triangles)]):
+        net = first_order_network(list(names), edges)
+        path = tmp_path / f"net{k}.json"
+        save_network(net, path)
+        out = tmp_path / f"out{k}"
+        assert main(["balance", "--config", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "balance_report.json").read_text())
+        balanced = json.loads((out / "balanced_network.json").read_text())
+        a_to_c = edges.index(("A", "C", 1.0, 1.0))
+        changes = {}
+        for r, (old, new) in enumerate(zip(net.reactions, balanced["reactions"])):
+            changes[(r, "k_forward")] = abs(new["k_forward"] / old.k_forward - 1.0)
+            changes[(r, "k_backward")] = abs(new["k_backward"] / old.k_backward - 1.0)
+        assert changes[(a_to_c, "k_forward")] > 0.2
+        assert report["max_relative_change"] == max(changes.values())
+    assert max(changes, key=changes.get) == (a_to_c, "k_forward")
+
+
 @pytest.mark.parametrize(
     "mutation, message_part",
     [

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -15,6 +11,7 @@ from kinvar import (
     first_order_network,
     integrate,
     make_network,
+    nonlinear_2A_B,
     simulate_linear,
 )
 from kinvar.integrate import pack_network
@@ -101,22 +98,13 @@ def test_dual_experiment_nonlinear_rejects_mismatched_totals():
     assert "1" in str(err.value) and "2" in str(err.value)
 
 
-def test_fallback_kernel_agrees_with_current_mode():
-    """The numpy fallback must reproduce the active kernel bit-for-bit."""
-    code = (
-        "import numpy as np\n"
-        "from kinvar import IntegratorConfig, Reaction, integrate, make_network\n"
-        "net = make_network(['A','B'], [Reaction(((0,2),),((1,1),),3.0,1.0)])\n"
-        "t = np.concatenate(([0.0], np.geomspace(1e-3, 6.0, 50)))\n"
-        "traj = integrate(net, np.array([1.0,0.0]), t)\n"
-        "print(repr(float(traj.concentrations.sum())))\n"
+def test_integrate_matches_nonlinear_2A_B_closed_form():
+    net = _ab2(3.0, 1.0)
+    t = np.concatenate(([0.0], np.geomspace(1e-3, 6.0, 50)))
+    traj = integrate(net, np.array([1.0, 0.0]), t)
+    exact = nonlinear_2A_B(3.0, 1.0, t)
+    gap = max(
+        np.max(np.abs(traj.species(0) - exact.a_from_a)),
+        np.max(np.abs(traj.species(1) - exact.b_from_a)),
     )
-
-    def run(no_numba):
-        env = dict(os.environ)
-        env["KINVAR_NO_NUMBA"] = "1" if no_numba else "0"
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        return out.stdout.strip()
-
-    assert run(True) == run(False)
+    assert gap <= 1e-9

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import balanced_integer_network, exact_pair_constant
+
 from kinvar import (
     DegenerateExperimentError,
     InvariantSpec,
@@ -50,6 +52,15 @@ def test_resolve_expected_K_unbalanced_uses_direct_edge():
     spec = resolve_expected_K(butene_cycle(), "linear_ratio", 1, 0)
     # 1-butene -> cis-2-butene is itself the shortest reversible path
     assert spec.expected_K == pytest.approx(10.344 / 4.623)
+
+
+def test_resolve_expected_K_large_balanced_network(rng):
+    # 200 species with 40 extra edges have far too many simple paths to
+    # enumerate; one shortest path gives the same product on balanced rates
+    net, h = balanced_integer_network(rng, 200, extra_edges=40)
+    for a, b in [(0, 199), (17, 3), (120, 64)]:
+        spec = resolve_expected_K(net, "linear_ratio", a, b)
+        assert spec.expected_K == float(exact_pair_constant(h, a, b))
 
 
 def test_resolve_expected_K_nonlinear_from_rates():

@@ -6,14 +6,13 @@ import pytest
 from conftest import balanced_integer_network, exact_pair_constant
 
 from kinvar import (
-    DetailedBalanceError,
     NoReversiblePathError,
     Polynomial,
     RationalFunction,
     all_transfer_functions_forest,
     build_rate_matrix,
     characteristic_polynomial,
-    enumerate_forests,
+    check_cycle_conditions,
     exact_balance,
     exact_cycle_violations,
     first_order_network,
@@ -120,39 +119,36 @@ def test_forest_route_on_unbalanced_network():
         assert direct.denominator == forest.denominator
 
 
-def test_enumerate_forests_counts_on_triangle():
-    # complete reversible triangle with unit rates
+def test_forest_counts_on_unit_triangle():
+    # complete reversible triangle with unit rates: every coefficient counts
+    # spanning in-forests
     net = first_order_network(
         ["A", "B", "C"],
         [("A", "B", 1.0, 1.0), ("B", "C", 1.0, 1.0), ("C", "A", 1.0, 1.0)],
     )
     M = build_rate_matrix(net)
-    assert len(enumerate_forests(M, [0, 1, 2])) == 1  # the empty forest
-    trees = enumerate_forests(M, [0])
-    assert len(trees) == 3  # in-trees rooted at A
-    assert all(t.weight == 1 for t in trees)
-    two_rooted = enumerate_forests(M, [0, 1])
-    assert len(two_rooted) == 2  # C picks one of its two out-edges
-    constrained = enumerate_forests(M, [0, 1], constrained=(2, 0))
-    assert len(constrained) == 1
-    assert (2, 0) in next(iter(constrained)).edges
+    table = all_transfer_functions_forest(M)
+    # s^3: the empty forest; s^2: 3 root pairs, the third vertex picks one of
+    # its 2 out-edges; s^1: 3 in-trees at each of the 3 roots
+    assert characteristic_polynomial(M) == _p(0, 9, 6, 1)
+    assert table[(0, 0)].denominator == _p(0, 9, 6, 1)
+    # L[A <- C]: 3 in-trees rooted at A (s^0), and the one 2-rooted forest
+    # {A, B} with C -> A (s^1)
+    assert table[(2, 0)].numerator == _p(3, 1)
 
 
 def test_forest_sum_reproduces_char_poly_coefficients():
+    # chain A <-> B <-> C; the r-rooted forest weights, counted by hand:
+    # r=1: C->B->A 7*3, A->B<-C 2*7, A->B->C 2*5; r=2: roots {A,B} 7,
+    # {A,C} 3+5, {B,C} 2; r=3: the empty forest
     net = first_order_network(
         ["A", "B", "C"],
         [("A", "B", 2.0, 3.0), ("B", "C", 5.0, 7.0)],
     )
     M = build_rate_matrix(net)
-    delta = characteristic_polynomial(M)
-    for r in range(1, 4):
-        total = Fraction(0)
-        for roots in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]:
-            if len(roots) == r:
-                total += sum(
-                    (f.weight for f in enumerate_forests(M, roots)), Fraction(0)
-                )
-        assert delta.coefficient(r) == total
+    forest_sums = _p(0, 21 + 14 + 10, 7 + 8 + 2, 1)
+    assert characteristic_polynomial(M) == forest_sums
+    assert all_transfer_functions_forest(M)[(0, 2)].denominator == forest_sums
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +224,50 @@ def test_path_equilibrium_constant_chain():
     assert path_equilibrium_constant(net, 1, 1) == Fraction(1)
 
 
-def test_path_equilibrium_constant_detects_inconsistency():
+def test_path_equilibrium_constant_unbalanced_takes_shortest_path():
     net = first_order_network(
         ["A", "B", "C"],
         [("A", "B", 1.0, 1.0), ("B", "C", 1.0, 1.0), ("C", "A", 1.0, 2.0)],
     )
-    with pytest.raises(DetailedBalanceError):
-        path_equilibrium_constant(net, 0, 1)
-    # the non-strict variant settles for the shortest reversible path
-    assert path_equilibrium_constant(net, 0, 1, require_consistent=False) == 1
+    # A -> B directly (ratio 1), not A -> C -> B (ratio 2)
+    assert path_equilibrium_constant(net, 0, 1) == 1
+    assert path_equilibrium_constant(net, 0, 2) == 2
+
+
+def _perturbed(rng, net):
+    """Copy of ``net`` with every backward rate scaled by a random factor."""
+    return first_order_network(
+        list(net.names),
+        [
+            (net.names[r.reactants[0][0]], net.names[r.products[0][0]],
+             r.k_forward, r.k_backward * float(rng.uniform(0.5, 2.0)))
+            for r in net.reactions
+        ],
+    )
+
+
+def test_float_and_exact_cycle_verdicts_agree(rng):
+    violated = 0
+    for trial in range(20):
+        n = int(rng.integers(3, 9))
+        net, _ = balanced_integer_network(rng, n, extra_edges=int(rng.integers(0, 4)))
+        for subject in (net, _perturbed(rng, net)):
+            float_verdict = check_cycle_conditions(subject).satisfied
+            exact_verdict = not exact_cycle_violations(build_rate_matrix(subject))
+            assert float_verdict == exact_verdict
+            if subject is net:
+                assert float_verdict
+            violated += not exact_verdict
+    assert violated > 5  # the perturbed networks with cycles
+
+
+def test_path_equilibrium_constant_is_potential_ratio(rng):
+    for trial in range(20):
+        n = int(rng.integers(2, 9))
+        net, h = balanced_integer_network(rng, n, extra_edges=int(rng.integers(0, 4)))
+        for a in range(n):
+            for b in range(n):
+                assert path_equilibrium_constant(net, a, b) == exact_pair_constant(h, a, b)
 
 
 def test_exact_balance_restores_cycle_condition():

@@ -7,7 +7,9 @@ from kinvar import (
     Reaction,
     ReactionNetwork,
     Species,
+    BalanceError,
     balance_network,
+    build_rate_matrix,
     butene_cycle,
     check_cycle_conditions,
     conservation_vector,
@@ -15,6 +17,7 @@ from kinvar import (
     load_network,
     make_network,
     mass_action_rhs,
+    prove_fixed_proportion,
     save_network,
     stoichiometric_matrix,
     validate_network,
@@ -121,6 +124,28 @@ def test_balance_network_without_cycles_is_identity():
         ["A", "B", "C"], [("A", "B", 2.0, 1.0), ("B", "C", 3.0, 4.0)]
     )
     assert balance_network(net) == net
+
+
+def test_parallel_reactions_judged_by_merged_rates():
+    # two A <=> B reactions with ratios 2/1 and 1/3 merge into one edge with
+    # k(A->B) = 3 and k(B->A) = 4, which is what the dynamics see
+    net = first_order_network(["A", "B"], [("A", "B", 2.0, 1.0), ("A", "B", 1.0, 3.0)])
+    report = check_cycle_conditions(net)
+    assert report.satisfied
+    assert report.cycles == ()
+    assert balance_network(net) == net
+    proof = prove_fixed_proportion(build_rate_matrix(net), 0, 1)
+    assert proof.verified
+    assert proof.K == 0.75
+
+
+def test_balance_network_rejects_irreversible_step_on_cycle():
+    # the irreversible A -> C step closes the cycle against its direction
+    net = first_order_network(
+        ["A", "B", "C"], [("A", "B", 2.0, 1.0), ("B", "C", 3.0, 4.0), ("A", "C", 1.0, 0.0)]
+    )
+    with pytest.raises(BalanceError):
+        balance_network(net)
 
 
 def test_json_round_trip(tmp_path):
