@@ -40,7 +40,12 @@ from .errors import (
     NetworkValidationError,
     NoReversiblePathError,
 )
-from .integrate import IntegratorConfig, dual_experiment_nonlinear, integrate
+from .integrate import (
+    IntegratorConfig,
+    dual_experiment_nonlinear,
+    integrate,
+    primed_amounts,
+)
 from .invariants import (
     DEFAULT_TOL,
     InvariantSpec,
@@ -56,6 +61,7 @@ from .network import (
     balance_network,
     butene_cycle,
     check_cycle_conditions,
+    conservation_vector,
     load_network,
     network_from_dict,
     network_to_dict,
@@ -172,6 +178,14 @@ def parse_scenario(data: dict, base_dir: Path = Path(".")) -> Scenario:
         None if exp.get("a0") is None else float(exp["a0"]),
         None if exp.get("b0") is None else float(exp["b0"]),
     )
+    if experiment.a0 is not None or experiment.b0 is not None:
+        # mismatched amounts are a scenario error, caught before any run
+        w = conservation_vector(net)
+        try:
+            primed_amounts(net, w, net.index_of(exp["a"]), net.index_of(exp["b"]),
+                           experiment.a0, experiment.b0)
+        except ConservationError as exc:
+            raise ConfigError(f"experiment amounts: {exc}") from None
 
     grid = None
     if data.get("grid") is not None:

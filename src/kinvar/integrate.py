@@ -14,7 +14,7 @@ import numpy as np
 from . import _kernels
 from .errors import ConservationError, IntegrationError
 from .network import ReactionNetwork, conservation_vector, validate_network
-from .trajectory import DualExperiment, Trajectory
+from .trajectory import DualExperiment, Trajectory, check_grid
 
 _TOTAL_TOL = 1e-12
 
@@ -105,8 +105,7 @@ def integrate(
         raise ValueError(f"initial state has shape {c0.shape}, expected ({net.n},)")
     if np.any(c0 < 0):
         raise ValueError("initial concentrations must be nonnegative")
-    if times.ndim != 1 or times.size < 1 or times[0] != 0.0:
-        raise ValueError("time grid must start at 0")
+    check_grid(times)
     packed = pack_network(net)
     status, t_stop, values = _kernels.integrate_dp54(
         *packed, c0, times,
@@ -123,6 +122,34 @@ def integrate(
     return Trajectory(times, values, init, label, net)
 
 
+def primed_amounts(
+    net: ReactionNetwork,
+    w: np.ndarray,
+    a: int,
+    b: int,
+    a0: float | None = None,
+    b0: float | None = None,
+) -> tuple[float, float, float]:
+    """Priming amounts ``(a0, b0)`` of a dual experiment and their conserved total.
+
+    Omitted amounts default to a0 = 1 and b0 = w_a a0 / w_b, so both runs
+    carry the same conserved total ``w.c``; explicit amounts must agree on it,
+    else :class:`ConservationError` names both totals.
+    """
+    if a0 is None:
+        a0 = 1.0
+    if b0 is None:
+        b0 = w[a] * a0 / w[b]
+    total_a = w[a] * a0
+    total_b = w[b] * b0
+    if abs(total_a - total_b) > _TOTAL_TOL:
+        raise ConservationError(
+            f"conserved totals differ: w.c = {total_a:g} from "
+            f"{net.names[a]!r} but {total_b:g} from {net.names[b]!r}"
+        )
+    return a0, b0, float(total_a)
+
+
 def dual_experiment_nonlinear(
     net: ReactionNetwork,
     a: int,
@@ -134,32 +161,20 @@ def dual_experiment_nonlinear(
 ) -> DualExperiment:
     """Integrate the two pure-priming experiments on a common grid.
 
-    When initial amounts are omitted, a0 = 1 and b0 = w_a/w_b so that the
-    conserved totals w.c agree and both runs approach the same equilibrium
-    (w is the positive conservation vector of the network). Explicit amounts
-    are validated against the same requirement.
+    The amounts come from :func:`primed_amounts` with the positive
+    conservation vector of the network, so both runs approach the same
+    equilibrium.
     """
     if a == b:
         raise ValueError("dual experiment needs two distinct species")
     if times is None:
         raise ValueError("a time grid is required")
-    w = conservation_vector(net)
-    if a0 is None:
-        a0 = 1.0
-    if b0 is None:
-        b0 = w[a] * a0 / w[b]
+    a0, b0, total = primed_amounts(net, conservation_vector(net), a, b, a0, b0)
     c0a = np.zeros(net.n)
     c0a[a] = a0
     c0b = np.zeros(net.n)
     c0b[b] = b0
-    total_a = w @ c0a
-    total_b = w @ c0b
-    if abs(total_a - total_b) > _TOTAL_TOL:
-        raise ConservationError(
-            f"conserved totals differ: w.c = {total_a:g} from "
-            f"{net.names[a]!r} but {total_b:g} from {net.names[b]!r}"
-        )
     names = net.names
     from_a = integrate(net, c0a, times, cfg, f"from {names[a]}")
     from_b = integrate(net, c0b, times, cfg, f"from {names[b]}")
-    return DualExperiment(from_a, from_b, a, b, conserved_total=float(total_a))
+    return DualExperiment(from_a, from_b, a, b, conserved_total=total)

@@ -26,6 +26,7 @@ from .network import (
     ReactionNetwork,
     merged_rates,
     path_products,
+    potentials,
     reversible_edges,
     shortest_path,
     spanning_forest,
@@ -642,13 +643,9 @@ def exact_balance(M) -> list:
     entries = exact_entries(M)
     n = len(entries)
     rates = _rate_map(entries)
-    forest = spanning_forest(n, reversible_edges(rates))
-    h = {}
-    for v in forest.order:
-        p = forest.parent[v]
-        h[v] = Fraction(1) if p is None else h[p] * rates[(p, v)] / rates[(v, p)]
+    h = potentials(n, rates)
     out = [row[:] for row in entries]
-    for u, v in forest.non_tree:
+    for u, v in spanning_forest(n, reversible_edges(rates)).non_tree:
         out[u][v] = out[v][u] * h[u] / h[v]
     for j in range(n):
         out[j][j] = -sum(out[i][j] for i in range(n) if i != j)

@@ -8,17 +8,24 @@ Trajectories are evaluated exactly in time as ``exp(M t) c0``.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MultipleEquilibriaError, NetworkValidationError
-from .network import ORDER_FIRST, ReactionNetwork, validate_network
-from .trajectory import DualExperiment, Trajectory
+from .network import ORDER_FIRST, ReactionNetwork, potentials, validate_network
+from .trajectory import DualExperiment, Trajectory, check_grid
+
+log = logging.getLogger(__name__)
 
 # eigendecomposition is rejected in favor of scaling-and-squaring when the
 # reconstruction residual exceeds this (relative to ||M||)
 _EIG_RESIDUAL_TOL = 1e-8
+# largest relative flux mismatch |M_vu h_u - M_uv h_v| / max(...) accepted as
+# detailed balance; above the roundoff that balance_network stops at (1e-12
+# on a cycle product)
+_BALANCE_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -61,35 +68,93 @@ def build_rate_matrix(net: ReactionNetwork) -> RateMatrix:
     return RateMatrix(m)
 
 
-def _propagators(M: RateMatrix, times: np.ndarray, c0: np.ndarray) -> np.ndarray:
-    """Rows ``exp(M t) c0`` for each grid time.
+def _symmetric_form(m: np.ndarray):
+    """``(S, sqrt(h), reason)`` for a detailed-balanced generator, else ``(None, None, reason)``.
 
-    Diagonalization when the spectrum is well conditioned, otherwise
-    scaling-and-squaring (`scipy.linalg.expm`) per grid point; the latter also
-    covers defective spectra (e.g. equal-rate irreversible chains).
+    With potentials ``h`` (:func:`~kinvar.network.potentials`) and
+    ``D = diag(h)``, a generator with ``M_vu h_u = M_uv h_v`` on every pair is
+    similar to the symmetric ``S = D^{-1/2} M D^{1/2}``, whose off-diagonal
+    entries are ``sqrt(M_uv M_vu)`` (Kelly, *Reversibility and Stochastic
+    Networks*, 1979).  ``reason`` says why the form exists or not.
     """
-    m = M.entries
+    n = m.shape[0]
+    off = m - np.diag(np.diag(m))
+    vs, us = np.nonzero(off)
+    rates = {(int(u), int(v)): float(off[v, u]) for v, u in zip(vs, us)}
+    for u, v in rates:
+        if (v, u) not in rates:
+            return None, None, f"irreversible step {u}->{v}"
+    h = np.array(potentials(n, rates), dtype=float)
+    if not np.all(np.isfinite(h) & (h > 0)):
+        return None, None, "potentials out of floating-point range"
+    flux_fwd = off[vs, us] * h[us]
+    flux_back = off[us, vs] * h[vs]
+    mismatch = float(np.max(np.abs(flux_fwd - flux_back) / np.maximum(flux_fwd, flux_back),
+                            initial=0.0))
+    if not mismatch <= _BALANCE_TOL:
+        return None, None, f"detailed balance off by {mismatch:.3e}"
+    S = np.sqrt(off * off.T) + np.diag(np.diag(m))
+    return S, np.sqrt(h), f"detailed balance holds to {mismatch:.3e}"
+
+
+def _eig_propagators(m: np.ndarray, times: np.ndarray, C0: np.ndarray):
+    """``(propagators, None)`` by complex diagonalization, or ``(None, reason)``.
+
+    The eigendecomposition is rejected when it does not reproduce ``M`` or
+    its eigenvectors are too ill-conditioned to invert.
+    """
     lam, V = np.linalg.eig(m)
     residual = np.linalg.norm(m @ V - V * lam)
     scale = max(1.0, np.linalg.norm(m))
+    if residual > _EIG_RESIDUAL_TOL * scale:
+        return None, f"eigen residual {residual:.3e} exceeds {_EIG_RESIDUAL_TOL:g} * {scale:.3e}"
     # a defective spectrum still satisfies the eigen-equation column by
     # column; what breaks is inverting V, so check its conditioning too
     sv = np.linalg.svd(V, compute_uv=False)
-    use_eig = residual <= _EIG_RESIDUAL_TOL * scale and sv[-1] > 1e-6 * sv[0]
-    if use_eig:
-        try:
-            w = np.linalg.solve(V, c0.astype(complex))
-        except np.linalg.LinAlgError:
-            use_eig = False
-    if use_eig:
-        out = (V @ (np.exp(np.outer(times, lam)) * w).T).T
-        return np.ascontiguousarray(out.real)
+    if not sv[-1] > 1e-6 * sv[0]:
+        return None, "eigenvector matrix is ill-conditioned (defective spectrum)"
+    try:
+        W = np.linalg.solve(V, C0.astype(complex))
+    except np.linalg.LinAlgError:
+        return None, "eigenvector matrix is singular"
+    growth = np.exp(np.outer(times, lam))
+    out = np.stack([(V @ (growth * w).T).T.real for w in W.T])
+    return out, None
+
+
+def _propagators(M: RateMatrix, times: np.ndarray, C0: np.ndarray) -> np.ndarray:
+    """``out[k]`` holds the rows ``exp(M t) C0[:, k]`` for each grid time.
+
+    A detailed-balanced ``M`` is propagated through the real symmetric
+    eigendecomposition of its symmetric form; any other generator through
+    complex diagonalization when its spectrum is well conditioned, otherwise
+    by scaling-and-squaring (`scipy.linalg.expm`) per grid point, which also
+    covers defective spectra (e.g. equal-rate irreversible chains).  The path
+    taken and the reason are logged at DEBUG level.
+    """
+    m = M.entries
+    S, root_h, why = _symmetric_form(m)
+    if S is not None:
+        log.debug("propagator eigh: %s", why)
+        lam, Q = np.linalg.eigh(S)
+        # S is negative semidefinite; a roundoff-positive eigenvalue would
+        # grow without bound over long horizons
+        growth = np.exp(np.outer(times, np.minimum(lam, 0.0)))
+        W = [Q.T @ (c / root_h) for c in C0.T]
+        return np.stack([(growth * w) @ Q.T * root_h for w in W])
+    out, why_not = _eig_propagators(m, times, C0)
+    if out is not None:
+        log.debug("propagator eig: %s", why)
+        return out
+    log.debug("propagator expm: %s", why_not)
 
     from scipy.linalg import expm
 
-    out = np.empty((len(times), M.n))
+    out = np.empty((C0.shape[1], len(times), M.n))
     for k, t in enumerate(times):
-        out[k] = expm(m * t) @ c0
+        step = expm(m * t)
+        for j, c in enumerate(C0.T):
+            out[j, k] = step @ c
     return out
 
 
@@ -105,9 +170,8 @@ def simulate_linear(
     times = np.asarray(times, dtype=float)
     if c0.shape != (M.n,):
         raise ValueError(f"initial state has shape {c0.shape}, expected ({M.n},)")
-    if times[0] != 0.0:
-        raise ValueError("time grid must start at 0")
-    conc = _propagators(M, times, c0)
+    check_grid(times)
+    conc = _propagators(M, times, c0[:, None])[0]
     conc[0] = c0  # exp(0) = I, exactly
     init = int(np.argmax(c0))
     return Trajectory(times, conc, init, label, network)
@@ -116,17 +180,22 @@ def simulate_linear(
 def dual_experiment(
     net: ReactionNetwork, a: int, b: int, times: np.ndarray
 ) -> DualExperiment:
-    """Unit-priming runs from species ``a`` and from species ``b`` on one grid."""
+    """Unit-priming runs from species ``a`` and from species ``b`` on one grid.
+
+    Both runs share one propagator computation; each equals the
+    :func:`simulate_linear` run from its unit vector.
+    """
     if a == b:
         raise ValueError("dual experiment needs two distinct species")
+    times = np.asarray(times, dtype=float)
+    check_grid(times)
     M = build_rate_matrix(net)
-    names = net.names
-    ea = np.zeros(net.n)
-    ea[a] = 1.0
-    eb = np.zeros(net.n)
-    eb[b] = 1.0
-    from_a = simulate_linear(M, ea, times, f"from {names[a]}", net)
-    from_b = simulate_linear(M, eb, times, f"from {names[b]}", net)
+    C0 = np.zeros((net.n, 2))
+    C0[a, 0] = C0[b, 1] = 1.0
+    conc = _propagators(M, times, C0)
+    conc[:, 0] = C0.T  # exp(0) = I, exactly
+    from_a, from_b = (Trajectory(times, conc[k], s, f"from {net.names[s]}", net)
+                      for k, s in enumerate((a, b)))
     return DualExperiment(from_a, from_b, a, b, conserved_total=1.0)
 
 
@@ -155,7 +224,8 @@ def default_time_grid(M: RateMatrix, points: int = 400) -> np.ndarray:
     ``tau`` is the slowest nonzero relaxation time ``1/|lambda_min|``; the
     span resolves the fast transient and the approach to equilibrium.
     """
-    lam = np.linalg.eigvals(M.entries)
+    S, _, _ = _symmetric_form(M.entries)
+    lam = np.linalg.eigvals(M.entries) if S is None else np.linalg.eigvalsh(S)
     mags = np.abs(lam)
     nonzero = mags[mags > 1e-12 * max(1.0, mags.max())]
     if len(nonzero) == 0:

@@ -350,6 +350,24 @@ def spanning_forest(n: int, edges) -> SpanningForest:
     return SpanningForest(parent, tuple(order), tuple(non_tree))
 
 
+def potentials(n: int, rates) -> list:
+    """Potentials ``h`` along the spanning forest of the reversible edges of ``rates``.
+
+    Each root gets ``h = 1`` and each child ``h_v = h_p * k(p -> v) / k(v -> p)``
+    of its tree parent ``p``, in whatever arithmetic ``rates`` holds.  On a
+    detailed-balanced rate map ``k(u -> v) h_u = k(v -> u) h_v`` then holds on
+    every reversible edge, and ``h`` is proportional to the equilibrium of
+    each reversibly connected component.
+    """
+    forest = spanning_forest(n, reversible_edges(rates))
+    h: list = [1] * n
+    for v in forest.order:
+        p = forest.parent[v]
+        if p is not None:
+            h[v] = h[p] * rates[(p, v)] / rates[(v, p)]
+    return h
+
+
 def shortest_path(n: int, edges, a: int, b: int) -> list[int] | None:
     """Vertex list of a breadth-first shortest path ``a -> b`` over ``edges``, or None."""
     if a == b:

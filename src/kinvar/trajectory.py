@@ -9,6 +9,17 @@ import numpy as np
 from .network import ReactionNetwork
 
 
+def check_grid(times: np.ndarray) -> None:
+    """Reject a simulation grid that is not 1-D, starting at 0 and strictly increasing.
+
+    The engines call this before any work, so a bad grid fails fast.
+    """
+    if times.ndim != 1 or times.size < 1 or times[0] != 0.0:
+        raise ValueError("time grid must start at 0")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("time grid must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Concentrations on a time grid for one initial condition.

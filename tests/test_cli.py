@@ -271,3 +271,23 @@ def test_closed_form_engine_rejects_odd_topology(tmp_path, capsys):
 
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+def test_mismatched_explicit_amounts_exit_2_before_simulation(tmp_path, capsys):
+    cfg = _write_scenario(
+        tmp_path,
+        network={
+            "species": ["A", "B"],
+            "reactions": [{"reactants": [["A", 2]], "products": [["B", 1]],
+                           "k_forward": 3.0, "k_backward": 1.0}],
+        },
+        experiment={"a": "A", "b": "B", "a0": 1.0, "b0": 1.0},
+        invariants=[],
+    )
+    out = tmp_path / "o"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    # w = (1, 2): one unit of A carries 1, one unit of B carries 2
+    assert "w.c = 1 from 'A' but 2 from 'B'" in err
+    assert not out.exists()

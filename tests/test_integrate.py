@@ -14,6 +14,7 @@ from kinvar import (
     nonlinear_2A_B,
     simulate_linear,
 )
+from kinvar import _kernels
 from kinvar.integrate import pack_network
 
 
@@ -108,3 +109,15 @@ def test_integrate_matches_nonlinear_2A_B_closed_form():
         np.max(np.abs(traj.species(1) - exact.b_from_a)),
     )
     assert gap <= 1e-9
+
+
+def test_integrate_rejects_bad_grid_before_stepping(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("integrated on a bad grid")
+
+    monkeypatch.setattr(_kernels, "integrate_dp54", unreachable)
+    for times in (np.array([0.0, 2.0, 1.0]), np.array([0.0, 1.0, 1.0])):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            integrate(_ab2(), np.array([1.0, 0.0]), times)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            dual_experiment_nonlinear(_ab2(), 0, 1, times=times)

@@ -11,6 +11,7 @@ from kinvar import (
     RationalFunction,
     all_transfer_functions_forest,
     build_rate_matrix,
+    butene_cycle,
     characteristic_polynomial,
     check_cycle_conditions,
     exact_balance,
@@ -290,3 +291,35 @@ def test_exact_entries_preserves_float_rates():
     # 0.1 is kept as the exact binary fraction actually simulated
     assert entries[1][0] == Fraction(0.1)
     assert entries[1][0] != Fraction(1, 10)
+
+
+def test_exact_balance_of_butene_rewrites_the_non_tree_edge():
+    # The forest of the butene triangle is rooted at cis-2-butene (0) with
+    # children 1-butene (1) and trans-2-butene (2); the non-tree edge 1 -> 2
+    # keeps k(1->2) and gets k(2->1) = k(1->2) h_1 / h_2.
+    M = build_rate_matrix(butene_cycle())
+    expected = exact_entries(M)
+    F = Fraction
+    h1 = F(4.623) / F(10.344)
+    h2 = F(5.616) / F(3.371)
+    expected[1][2] = F(3.724) * h1 / h2
+    for j in range(3):
+        expected[j][j] = -sum(expected[i][j] for i in range(3) if i != j)
+    assert exact_balance(M) == expected
+
+
+def test_exact_balance_keeps_balanced_and_repairs_perturbed_networks(rng):
+    for trial in range(20):
+        n = int(rng.integers(3, 9))
+        net, _ = balanced_integer_network(rng, n, extra_edges=int(rng.integers(1, 4)))
+        M = build_rate_matrix(net)
+        assert exact_balance(M) == exact_entries(M)
+        perturbed = build_rate_matrix(_perturbed(rng, net))
+        before = exact_entries(perturbed)
+        after = exact_balance(perturbed)
+        assert exact_cycle_violations(after) == []
+        changed = [(i, j) for i in range(n) for j in range(n)
+                   if i != j and after[i][j] != before[i][j]]
+        # one rate per basis cycle, each the reverse of a rate kept as is
+        assert len(changed) <= len(check_cycle_conditions(net).cycles)
+        assert all(after[j][i] == before[j][i] for i, j in changed)

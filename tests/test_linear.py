@@ -1,9 +1,14 @@
+import logging
+
 import numpy as np
 import pytest
+
+from conftest import balanced_integer_network
 
 from kinvar import (
     MultipleEquilibriaError,
     RateMatrix,
+    balance_network,
     build_rate_matrix,
     butene_cycle,
     default_time_grid,
@@ -12,6 +17,7 @@ from kinvar import (
     first_order_network,
     simulate_linear,
 )
+from kinvar import linear
 
 
 def _ab(kf=2.0, kb=1.0):
@@ -105,3 +111,87 @@ def test_default_time_grid_shape():
     # slowest relaxation time for A<->B is 1/(kf+kb)
     np.testing.assert_allclose(times[-1], 10.0 / 3.0, rtol=1e-12)
     assert np.all(np.diff(times) > 0)
+
+
+def _balanced_cases():
+    rng = np.random.default_rng(4711)
+    return [balanced_integer_network(rng, n, extra_edges=n // 10)[0] for n in (10, 50, 200)]
+
+
+@pytest.mark.parametrize("net", _balanced_cases(), ids=["n10", "n50", "n200"])
+def test_balanced_path_matches_eig_path(net):
+    M = build_rate_matrix(net)
+    S, _, _ = linear._symmetric_form(M.entries)
+    assert S is not None
+    times = default_time_grid(M)
+    C0 = np.eye(net.n)[:, [0, net.n - 1]]
+    reference, _ = linear._eig_propagators(M.entries, times, C0)
+    np.testing.assert_allclose(linear._propagators(M, times, C0), reference,
+                               rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("net", _balanced_cases(), ids=["n10", "n50", "n200"])
+def test_default_time_grid_matches_general_spectrum(net):
+    M = build_rate_matrix(net)
+    mags = np.abs(np.linalg.eigvals(M.entries))
+    tau = 1.0 / mags[mags > 1e-12 * mags.max()].min()
+    reference = np.concatenate(([0.0], np.geomspace(1e-3 * tau, 10.0 * tau, 400)))
+    np.testing.assert_allclose(default_time_grid(M), reference, rtol=1e-12, atol=0)
+
+
+def _triangle():
+    """Unit triangle with one backward rate perturbed: no detailed balance."""
+    return first_order_network(
+        ["A", "B", "C"],
+        [("A", "B", 1.0, 1.0), ("B", "C", 1.0, 1.0), ("C", "A", 1.0, 2.0)],
+    )
+
+
+def _irreversible_chain(n=30):
+    names = [f"S{i}" for i in range(n)]
+    return first_order_network(names, [(names[i], names[i + 1], 1.0, 0.0)
+                                       for i in range(n - 1)])
+
+
+@pytest.mark.parametrize("net", [balance_network(butene_cycle()), _triangle(),
+                                 _irreversible_chain()],
+                         ids=["eigh", "eig", "expm"])
+def test_dual_experiment_equals_two_simulations(net):
+    M = build_rate_matrix(net)
+    times = default_time_grid(M, points=60)
+    a, b = 0, net.n - 1
+    dual = dual_experiment(net, a, b, times)
+    for traj, s in ((dual.from_a, a), (dual.from_b, b)):
+        single = simulate_linear(M, np.eye(net.n)[s], times, f"from {net.names[s]}", net)
+        np.testing.assert_array_equal(traj.concentrations, single.concentrations)
+        assert (traj.label, traj.initial_species) == (single.label, single.initial_species)
+
+
+@pytest.mark.parametrize(
+    "net, path",
+    [(balance_network(butene_cycle()), "eigh"), (_triangle(), "eig"),
+     (_irreversible_chain(), "expm")],
+)
+def test_propagator_path_is_logged(caplog, net, path):
+    times = np.linspace(0.0, 1.0, 5)
+    with caplog.at_level(logging.DEBUG, logger="kinvar.linear"):
+        dual_experiment(net, 0, 1, times)
+    records = [r.getMessage() for r in caplog.records if r.name == "kinvar.linear"]
+    assert len(records) == 1
+    taken, reason = records[0].split(": ", 1)
+    assert taken == f"propagator {path}"
+    assert reason
+
+
+def test_bad_grid_fails_before_propagation(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("propagated on a bad grid")
+
+    monkeypatch.setattr(linear, "_propagators", unreachable)
+    net = _ab()
+    M = build_rate_matrix(net)
+    for times in (np.array([0.0, 2.0, 1.0]), np.array([0.0, 1.0, 1.0])):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            simulate_linear(M, np.array([1.0, 0.0]), times)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            dual_experiment(net, 0, 1, times)

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+
+from conftest import balanced_integer_network
 
 from kinvar import (
     ConfigError,
@@ -22,6 +26,7 @@ from kinvar import (
     stoichiometric_matrix,
     validate_network,
 )
+from kinvar.network import merged_rates, potentials
 
 
 def test_first_order_network_sets_order_kind():
@@ -160,3 +165,21 @@ def test_network_from_dict_rejects_unknown_fields(tmp_path):
     path.write_text('{"species": ["A"], "reactions": [], "color": "red"}')
     with pytest.raises(ConfigError):
         load_network(path)
+
+
+def test_potentials_are_ratios_to_the_first_species(rng):
+    for trial in range(20):
+        n = int(rng.integers(2, 12))
+        net, h = balanced_integer_network(rng, n, extra_edges=int(rng.integers(0, 4)))
+        exact = potentials(n, merged_rates(net, Fraction))
+        assert exact == [Fraction(h[v], h[0]) for v in range(n)]
+        np.testing.assert_allclose(potentials(n, merged_rates(net)),
+                                   [h[v] / h[0] for v in range(n)], rtol=1e-14)
+
+
+def test_potentials_start_each_component_at_one():
+    net = first_order_network(
+        ["A", "B", "C", "D", "E"],
+        [("A", "B", 2.0, 1.0), ("C", "D", 1.0, 4.0), ("D", "E", 3.0, 0.0)],
+    )
+    assert potentials(net.n, merged_rates(net, Fraction)) == [1, 2, 1, Fraction(1, 4), 1]
