@@ -113,12 +113,11 @@ def test_default_time_grid_shape():
     assert np.all(np.diff(times) > 0)
 
 
-def _balanced_cases():
-    rng = np.random.default_rng(4711)
-    return [balanced_integer_network(rng, n, extra_edges=n // 10)[0] for n in (10, 50, 200)]
+_RNG = np.random.default_rng(4711)
+_BALANCED = [balanced_integer_network(_RNG, n, extra_edges=n // 10)[0] for n in (10, 50, 200)]
 
 
-@pytest.mark.parametrize("net", _balanced_cases(), ids=["n10", "n50", "n200"])
+@pytest.mark.parametrize("net", _BALANCED, ids=["n10", "n50", "n200"])
 def test_balanced_path_matches_eig_path(net):
     M = build_rate_matrix(net)
     S, _, _ = linear._symmetric_form(M.entries)
@@ -130,7 +129,7 @@ def test_balanced_path_matches_eig_path(net):
                                rtol=0, atol=1e-11)
 
 
-@pytest.mark.parametrize("net", _balanced_cases(), ids=["n10", "n50", "n200"])
+@pytest.mark.parametrize("net", _BALANCED, ids=["n10", "n50", "n200"])
 def test_default_time_grid_matches_general_spectrum(net):
     M = build_rate_matrix(net)
     mags = np.abs(np.linalg.eigvals(M.entries))
@@ -153,10 +152,14 @@ def _irreversible_chain(n=30):
                                        for i in range(n - 1)])
 
 
-@pytest.mark.parametrize("net", [balance_network(butene_cycle()), _triangle(),
-                                 _irreversible_chain()],
-                         ids=["eigh", "eig", "expm"])
-def test_dual_experiment_equals_two_simulations(net):
+# one network per propagator path
+_PATH_CASES = {"eigh": balance_network(butene_cycle()), "eig": _triangle(),
+               "expm": _irreversible_chain()}
+
+
+@pytest.mark.parametrize("path", _PATH_CASES)
+def test_dual_experiment_equals_two_simulations(path):
+    net = _PATH_CASES[path]
     M = build_rate_matrix(net)
     times = default_time_grid(M, points=60)
     a, b = 0, net.n - 1
@@ -167,15 +170,11 @@ def test_dual_experiment_equals_two_simulations(net):
         assert (traj.label, traj.initial_species) == (single.label, single.initial_species)
 
 
-@pytest.mark.parametrize(
-    "net, path",
-    [(balance_network(butene_cycle()), "eigh"), (_triangle(), "eig"),
-     (_irreversible_chain(), "expm")],
-)
-def test_propagator_path_is_logged(caplog, net, path):
+@pytest.mark.parametrize("path", _PATH_CASES)
+def test_propagator_path_is_logged(caplog, path):
     times = np.linspace(0.0, 1.0, 5)
     with caplog.at_level(logging.DEBUG, logger="kinvar.linear"):
-        dual_experiment(net, 0, 1, times)
+        dual_experiment(_PATH_CASES[path], 0, 1, times)
     records = [r.getMessage() for r in caplog.records if r.name == "kinvar.linear"]
     assert len(records) == 1
     taken, reason = records[0].split(": ", 1)
