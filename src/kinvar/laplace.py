@@ -10,16 +10,19 @@ numbers actually stored, not about nearby reals.
 Two independent routes to the transfer function L[target <- source](s) are
 provided: resolvent cofactors of (sI - M), and the weighted spanning-forest
 expansion of the same cofactors. They must agree coefficient by coefficient,
-which the tests exploit as a cross-check.
+which the tests exploit as a cross-check. Fixed-proportion proofs try an
+exact detailed-balance certificate first and expand cofactors only when it
+fails.
 """
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from typing import Iterable, Optional, Sequence
+from functools import cached_property, reduce
+from typing import Optional, Sequence
 
 from .errors import NoReversiblePathError
 from .network import (
@@ -31,6 +34,8 @@ from .network import (
     shortest_path,
     spanning_forest,
 )
+
+log = logging.getLogger(__name__)
 
 _FOREST_LIMIT = 12
 
@@ -134,46 +139,11 @@ class Polynomial:
         return out
 
 
-def poly_from_roots(roots: Iterable) -> Polynomial:
-    p = Polynomial([1])
-    for r in roots:
-        p = p * Polynomial([-_as_fraction(r), 1])
-    return p
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor by the Euclidean algorithm."""
-    while not b.is_zero:
-        a, b = b, _poly_mod(a, b)
-    if a.is_zero:
-        return a
-    lead = a.coeffs[-1]
-    return Polynomial([c / lead for c in a.coeffs])
-
-
-def _poly_mod(a: Polynomial, b: Polynomial) -> Polynomial:
-    rem = list(a.coeffs)
-    blead = b.coeffs[-1]
-    bdeg = b.degree
-    while len(rem) - 1 >= bdeg and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < bdeg:
-            break
-        q = rem[-1] / blead
-        shift = len(rem) - 1 - bdeg
-        for i, c in enumerate(b.coeffs):
-            rem[shift + i] -= q * c
-        rem.pop()
-    return Polynomial(rem)
-
-
 @dataclass(frozen=True)
 class RationalFunction:
     """Quotient of two exact polynomials, stored without cancellation.
 
-    Common factors are only removed by the explicit :meth:`cancelled` call;
-    equality is coefficient equality of numerator and denominator as stored.
+    Equality is coefficient equality of numerator and denominator as stored.
     """
 
     numerator: Polynomial
@@ -186,33 +156,8 @@ class RationalFunction:
     def __call__(self, s) -> Fraction:
         return self.numerator(s) / self.denominator(s)
 
-    def cancelled(self) -> "RationalFunction":
-        g = poly_gcd(self.numerator, self.denominator)
-        if g.is_zero or g.degree == 0:
-            return self
-        num = _exact_div_fraction(self.numerator, g)
-        den = _exact_div_fraction(self.denominator, g)
-        return RationalFunction(num, den)
-
     def __str__(self):
         return f"({self.numerator}) / ({self.denominator})"
-
-
-def _exact_div_fraction(a: Polynomial, b: Polynomial) -> Polynomial:
-    quot = []
-    rem = list(a.coeffs)
-    blead = b.coeffs[-1]
-    bdeg = b.degree
-    while len(rem) - 1 >= bdeg:
-        q = rem[-1] / blead
-        quot.append(q)
-        shift = len(rem) - 1 - bdeg
-        for i, c in enumerate(b.coeffs):
-            rem[shift + i] -= q * c
-        rem.pop()
-    if any(rem):
-        raise ArithmeticError("polynomial division is not exact")
-    return Polynomial(list(reversed(quot)))
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +485,10 @@ class ProofReport:
 
     ``K`` follows the b_from_a / a_from_b orientation: the claim verified is
     numerator(L[b <- a]) == K * numerator(L[a <- b]) coefficient by
-    coefficient.
+    coefficient. ``method`` names what decided it: ``"certificate"`` (exact
+    detailed balance on every edge) or ``"cofactor"`` (both numerators
+    expanded and compared). The numerators are expanded from ``entries`` on
+    first access when the certificate decided.
     """
 
     pair: tuple
@@ -548,8 +496,18 @@ class ProofReport:
     verified: bool
     failing_coefficient: Optional[int]
     cycle_violations: tuple
-    numerator_b_from_a: Polynomial
-    numerator_a_from_b: Polynomial
+    method: str
+    entries: ExactEntries = field(repr=False, compare=False)
+
+    @cached_property
+    def numerator_b_from_a(self) -> Polynomial:
+        a, b = self.pair
+        return cofactor_numerator(self.entries, a, b)
+
+    @cached_property
+    def numerator_a_from_b(self) -> Polynomial:
+        a, b = self.pair
+        return cofactor_numerator(self.entries, b, a)
 
     def to_dict(self) -> dict:
         return {
@@ -557,19 +515,47 @@ class ProofReport:
             "K_num": self.K.numerator,
             "K_den": self.K.denominator,
             "verified": self.verified,
+            "method": self.method,
             "failing_coefficient": self.failing_coefficient,
             "cycle_violations": [v.to_dict() for v in self.cycle_violations],
         }
 
 
+def _certificate_failure(entries: ExactEntries, rates: dict) -> Optional[str]:
+    """Why ``M diag(h)`` is not symmetric, or None when it is, exactly.
+
+    ``h`` are the potentials of ``rates``. Symmetry needs every off-diagonal
+    entry to be a rate and ``k(u->v) h_u == k(v->u) h_v`` on every edge, so
+    an edge without its reverse fails it.
+    """
+    n = len(entries)
+    # a Fraction's sign is its numerator's, which is far cheaper to compare
+    if any(entries[i][j].numerator < 0 for i in range(n) for j in range(n) if i != j):
+        return "an off-diagonal entry is negative"
+    h = potentials(n, rates)
+    for (u, v), k in rates.items():
+        back = rates.get((v, u))
+        if back is None:
+            return f"edge {u} -> {v} has no reverse"
+        # (u, v) and (v, u) state the same equation
+        if u < v and k * h[u] != back * h[v]:
+            return f"flux mismatch on edge {u} -> {v}: {k * h[u]} != {back * h[v]}"
+    return None
+
+
 def prove_fixed_proportion(M, a: int, b: int) -> ProofReport:
     """Exact proof that b_from_a(t) / a_from_b(t) is constant in time.
 
-    Works entirely in the Laplace domain: both numerator polynomials are
-    computed by exact cofactor expansion and compared coefficient by
-    coefficient against K = product of forward/backward rate ratios along a
-    reversible path a -> b. Linearity of the inverse transform carries exact
-    Laplace-domain proportionality to every t.
+    First the detailed-balance certificate: when ``k(u->v) h_u == k(v->u) h_v``
+    holds exactly on every edge, ``M diag(h)`` is symmetric, so are the
+    resolvent ``(sI - M)^{-1} diag(h)`` and ``exp(Mt) diag(h)``, and the ratio
+    is ``h_b / h_a`` at every t. ``K``, the product of forward/backward rate
+    ratios along a shortest reversible path a -> b, then equals ``h_b / h_a``.
+
+    When the certificate fails (an irreversible step, a violated cycle), both
+    numerator polynomials are computed by exact cofactor expansion and
+    compared coefficient by coefficient against K. Linearity of the inverse
+    transform carries exact Laplace-domain proportionality to every t.
 
     Raises :class:`NoReversiblePathError` when no reversible path connects
     the pair. Detailed-balance failures are not raised: they are reported in
@@ -587,6 +573,12 @@ def prove_fixed_proportion(M, a: int, b: int) -> ProofReport:
         raise NoReversiblePathError(
             f"species {a} and {b} are not connected by reversible steps"
         )
+    why_not = _certificate_failure(entries, rates)
+    if why_not is None:
+        log.debug("proof certificate: detailed balance holds on every edge")
+        return ProofReport(pair=(a, b), K=K, verified=True, failing_coefficient=None,
+                           cycle_violations=(), method="certificate", entries=entries)
+    log.debug("proof cofactor: %s", why_not)
     violations = tuple(_cycle_violations(n, rates))
     num_ba = cofactor_numerator(entries, a, b)
     num_ab = cofactor_numerator(entries, b, a)
@@ -596,15 +588,12 @@ def prove_fixed_proportion(M, a: int, b: int) -> ProofReport:
         if num_ba.coefficient(k) != scaled.coefficient(k):
             failing = k
             break
-    return ProofReport(
-        pair=(a, b),
-        K=K,
-        verified=failing is None,
-        failing_coefficient=failing,
-        cycle_violations=violations,
-        numerator_b_from_a=num_ba,
-        numerator_a_from_b=num_ab,
-    )
+    report = ProofReport(pair=(a, b), K=K, verified=failing is None,
+                         failing_coefficient=failing, cycle_violations=violations,
+                         method="cofactor", entries=entries)
+    # fill the caches of the lazy numerators with the ones just expanded
+    vars(report).update(numerator_b_from_a=num_ba, numerator_a_from_b=num_ab)
+    return report
 
 
 def path_equilibrium_constant(net: ReactionNetwork, a: int, b: int) -> Fraction:

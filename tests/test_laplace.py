@@ -1,14 +1,15 @@
+import logging
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import balanced_integer_network, exact_pair_constant
 
 from kinvar import (
     NoReversiblePathError,
     Polynomial,
-    RationalFunction,
     all_transfer_functions_forest,
     build_rate_matrix,
     butene_cycle,
@@ -22,7 +23,8 @@ from kinvar import (
     transfer_function_cofactor,
     transfer_function_forest,
 )
-from kinvar.laplace import exact_entries, poly_det, poly_from_roots, poly_gcd
+from kinvar.laplace import cofactor_numerator, exact_entries, poly_det
+from kinvar.network import potentials
 
 
 def _p(*coeffs):
@@ -41,14 +43,6 @@ def test_polynomial_basics():
     assert (_p(1, 1) * _p(-1, 1)) == _p(-1, 0, 1)
     assert _p(1, 2) - _p(1, 2) == Polynomial([])
     assert _p(1, 1) * Fraction(3) == _p(3, 3)
-
-
-def test_poly_from_roots_and_gcd():
-    p = poly_from_roots([1, 2])
-    assert p == _p(2, -3, 1)
-    q = poly_from_roots([2, 5])
-    g = poly_gcd(p, q)
-    assert g == poly_from_roots([2])  # monic common factor (s - 2)
 
 
 def test_poly_det_matches_numpy():
@@ -71,14 +65,6 @@ def test_characteristic_polynomial_two_species():
     net = first_order_network(["A", "B"], [("A", "B", 2.0, 1.0)])
     M = build_rate_matrix(net)
     assert characteristic_polynomial(M) == _p(0, 3, 1)  # s(s+3)
-
-
-def test_rational_function_cancel():
-    f = RationalFunction(_p(0, 1, 1), _p(0, 1))  # s(s+1)/s
-    g = f.cancelled()
-    assert g.numerator == _p(1, 1)
-    assert g.denominator == _p(1)
-    assert f(2) == g(2) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +164,7 @@ def test_prove_chain_with_irreversible_drain():
         ["A", "B", "C"], [("A", "B", 2.0, 1.0), ("B", "C", 3.0, 0.0)]
     )
     report = prove_fixed_proportion(build_rate_matrix(net), 0, 1)
+    assert report.method == "cofactor"
     assert report.verified
     assert report.K == Fraction(2)
     assert report.failing_coefficient is None
@@ -186,11 +173,17 @@ def test_prove_chain_with_irreversible_drain():
 
 def test_prove_balanced_network_pairs(rng):
     net, h = balanced_integer_network(rng, 6)
-    M = build_rate_matrix(net)
+    entries = exact_entries(build_rate_matrix(net))
     for a, b in [(0, 1), (2, 5), (3, 4)]:
-        report = prove_fixed_proportion(M, a, b)
+        report = prove_fixed_proportion(entries, a, b)
+        assert report.method == "certificate"
         assert report.verified
         assert report.K == exact_pair_constant(h, a, b)
+        # the numerators are expanded only when read
+        assert "numerator_b_from_a" not in vars(report)
+        assert report.numerator_b_from_a == cofactor_numerator(entries, a, b)
+        assert report.numerator_a_from_b == cofactor_numerator(entries, b, a)
+        assert report.numerator_b_from_a == report.K * report.numerator_a_from_b
 
 
 def test_prove_unbalanced_triangle_fails_with_diagnosis():
@@ -199,21 +192,120 @@ def test_prove_unbalanced_triangle_fails_with_diagnosis():
         [("A", "B", 1.0, 1.0), ("B", "C", 1.0, 1.0), ("C", "A", 1.0, 2.0)],
     )
     report = prove_fixed_proportion(build_rate_matrix(net), 0, 1)
+    assert report.method == "cofactor"
     assert not report.verified
     assert isinstance(report.failing_coefficient, int)
     assert len(report.cycle_violations) == 1
     payload = report.to_dict()
     assert set(payload) == {
-        "pair", "K_num", "K_den", "verified", "failing_coefficient",
+        "pair", "K_num", "K_den", "verified", "method", "failing_coefficient",
         "cycle_violations",
     }
     assert payload["verified"] is False
+    assert payload["method"] == "cofactor"
 
 
 def test_prove_requires_reversible_path():
     net = first_order_network(["A", "B"], [("A", "B", 1.0, 0.0)])
     with pytest.raises(NoReversiblePathError):
         prove_fixed_proportion(build_rate_matrix(net), 0, 1)
+
+
+def test_prove_across_reversible_components_raises_despite_certificate():
+    net = first_order_network(
+        ["A", "B", "C", "D"], [("A", "B", 2.0, 1.0), ("C", "D", 3.0, 5.0)]
+    )
+    M = build_rate_matrix(net)
+    assert prove_fixed_proportion(M, 2, 3).method == "certificate"
+    with pytest.raises(NoReversiblePathError):
+        prove_fixed_proportion(M, 0, 2)
+
+
+def test_prove_butene_raw_by_cofactors_and_balanced_by_certificate():
+    M = build_rate_matrix(butene_cycle())
+    E = exact_balance(M)
+    for a, b in [(0, 1), (0, 2), (1, 2)]:
+        raw = prove_fixed_proportion(M, a, b)
+        assert raw.method == "cofactor"
+        assert not raw.verified
+        assert len(raw.cycle_violations) == 1
+        balanced = prove_fixed_proportion(E, a, b)
+        assert balanced.method == "certificate"
+        assert balanced.verified
+        assert balanced.cycle_violations == ()
+        assert balanced.K == E[b][a] / E[a][b]
+
+
+def test_prove_negative_off_diagonal_entries_need_cofactors():
+    # the negative A -> C -> B route is no rate, so the rate map holds only
+    # the balanced A <=> B edge; the certificate must not vouch for it
+    F = Fraction
+    entries = [[F(-1), F(1), F(0)], [F(2), F(-1), F(-3)], [F(-1), F(0), F(3)]]
+    report = prove_fixed_proportion(entries, 0, 1)
+    assert report.method == "cofactor"
+    assert not report.verified
+
+
+_LOGGED_CASES = {
+    "balanced": ([("A", "B", 2.0, 1.0), ("B", "C", 3.0, 4.0)],
+                 "detailed balance holds on every edge"),
+    "drain": ([("A", "B", 2.0, 1.0), ("B", "C", 3.0, 0.0)],
+              "edge 1 -> 2 has no reverse"),
+    "triangle": ([("A", "B", 1.0, 1.0), ("B", "C", 1.0, 1.0), ("C", "A", 1.0, 2.0)],
+                 "flux mismatch on edge"),
+}
+
+
+@pytest.mark.parametrize("case", _LOGGED_CASES)
+def test_proof_method_is_logged(caplog, case):
+    spec, reason = _LOGGED_CASES[case]
+    M = build_rate_matrix(first_order_network(["A", "B", "C"], spec))
+    with caplog.at_level(logging.DEBUG, logger="kinvar.laplace"):
+        report = prove_fixed_proportion(M, 0, 1)
+    records = [r.getMessage() for r in caplog.records if r.name == "kinvar.laplace"]
+    assert len(records) == 1
+    taken, why = records[0].split(": ", 1)
+    assert taken == f"proof {report.method}"
+    assert why.startswith(reason)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 8),
+    extra_edges=st.integers(1, 3),
+    perturb=st.none() | st.tuples(
+        st.integers(0, 20),
+        st.fractions(Fraction(1, 5), 5, max_denominator=7).filter(lambda r: r != 1),
+    ),
+)
+def test_certificate_agrees_with_cofactors(seed, n, extra_edges, perturb):
+    net, _ = balanced_integer_network(np.random.default_rng(seed), n, extra_edges)
+    entries = exact_entries(build_rate_matrix(net))
+    if perturb is not None:
+        # scale one k_backward; on an edge that closes no cycle the network
+        # stays balanced, with new potentials
+        index, factor = perturb
+        rxn = net.reactions[index % len(net.reactions)]
+        u, v = rxn.reactants[0][0], rxn.products[0][0]
+        entries[u][v] *= factor
+        entries[v][v] = -sum(entries[i][v] for i in range(n) if i != v)
+    rates = {(u, v): entries[v][u] for u in range(n) for v in range(n)
+             if u != v and entries[v][u] > 0}
+    h = potentials(n, rates)
+    balanced = not exact_cycle_violations(entries)
+    nums = {(s, t): cofactor_numerator(entries, s, t)
+            for s in range(n) for t in range(n) if s != t}
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            report = prove_fixed_proportion(entries, a, b)
+            assert (report.method == "certificate") == balanced
+            assert report.verified == (nums[(a, b)] == report.K * nums[(b, a)])
+            if balanced:
+                assert report.K == h[b] / h[a]
+                assert report.numerator_b_from_a == nums[(a, b)]
 
 
 def test_path_equilibrium_constant_chain():
