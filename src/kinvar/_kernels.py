@@ -2,14 +2,21 @@
 Dormand-Prince 5(4) step loop with PI step-size control and quartic dense
 output.
 
-The kernels are plain Python/numpy loops over flat arrays, so they never
-touch network objects:
+The kernels never touch network objects. :func:`kinvar.network.pack_network`
+flattens a network into a tuple of terms ``(k, factors, changes)``, one per
+reaction direction with a positive rate constant: the term's rate is ``k``
+times the product of ``c[i]`` over ``factors``, which lists each rate-law
+species once per unit of its power, and each ``(i, coeff)`` in ``changes``
+adds ``coeff * rate`` to ``dc[i]/dt``.
 
-- ``term_*``   one entry per reaction direction with a positive rate constant;
-  ``term_sp``/``term_pw`` list the rate-law species and their integer powers
-  in the CSR slice ``term_ptr[r]:term_ptr[r+1]``.
-- ``chg_*``    species increments per unit rate for the same term, in the CSR
-  slice ``chg_ptr[r]:chg_ptr[r+1]``.
+The step loop holds the state, the seven stages and the tableau as lists of
+Python floats. The systems here are small (2-40 species), so indexing numpy
+arrays element by element would box every read as a numpy scalar at several
+times the cost of a float operation, and whole-array numpy operations would
+pay their per-call overhead on two or three entries. Python floats are IEEE
+doubles like float64, and every sum and product below runs in a fixed
+order, so the trajectories are bit-identical to the same loops run over
+numpy arrays.
 """
 
 from __future__ import annotations
@@ -19,88 +26,86 @@ import numpy as np
 _EPS = 2.220446049250313e-16
 
 
-# Dormand-Prince RK5(4) tableau. E is the difference between the 5th- and
-# 4th-order weights; P holds the coefficients of the quartic interpolant
-# b_i(theta) = sum_d P[i, d] theta^(d+1), which matches the 5th-order result
-# at theta = 1 and satisfies the order-4 continuous-extension conditions.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = np.zeros((7, 7))
-_A[1, 0] = 1 / 5
-_A[2, :2] = [3 / 40, 9 / 40]
-_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
-_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
-_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
-_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
-_E = np.array([
-    71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
-])
-_P = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883,
-     -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+# Dormand-Prince RK5(4) tableau; the right-hand side is autonomous, so the
+# nodes c_s are not needed. A[s - 1] holds the weights of stages 0..s-1 in
+# stage s.
+# E is the difference between the 5th- and 4th-order weights; P holds the
+# coefficients of the quartic interpolant b_i(theta) = sum_d P[i][d]
+# theta^(d+1), which matches the 5th-order result at theta = 1 and satisfies
+# the order-4 continuous-extension conditions.
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
 
 STATUS_OK = 0
 STATUS_STEP_UNDERFLOW = 1
 STATUS_NEGATIVE = 2
 
 
-def rhs_packed(c, term_k, term_ptr, term_sp, term_pw,
-               chg_ptr, chg_sp, chg_co, out):
-    """dc/dt for a packed mass-action network, written into ``out``."""
-    for i in range(out.shape[0]):
-        out[i] = 0.0
-    for r in range(term_k.shape[0]):
-        rate = term_k[r]
-        for j in range(term_ptr[r], term_ptr[r + 1]):
-            ci = c[term_sp[j]]
-            for _ in range(term_pw[j]):
-                rate *= ci
+def rhs_packed(c, terms, n):
+    """dc/dt as a list, for concentrations ``c`` and packed ``terms``."""
+    out = [0.0] * n
+    for k, factors, changes in terms:
+        rate = k
+        for i in factors:
+            rate *= c[i]
         if rate != 0.0:
-            for j in range(chg_ptr[r], chg_ptr[r + 1]):
-                out[chg_sp[j]] += chg_co[j] * rate
+            for i, co in changes:
+                out[i] += co * rate
+    return out
 
 
-def integrate_dp54(term_k, term_ptr, term_sp, term_pw,
-                   chg_ptr, chg_sp, chg_co,
-                   c0, times, rtol, atol, max_step, dense):
+def integrate_dp54(terms, c0, times, rtol, atol, max_step, dense):
     """Integrate from times[0] = 0 to times[-1], filling every grid row.
 
-    Returns (status, t_fail, out). Status 0 is success; 1 is step-size
-    underflow and 2 a concentration below -10*atol, both reported with the
-    time at which they occurred. Rows past the failure point are left as
-    filled (untouched rows contain NaN).
+    Returns ``(status, t_fail, out, stats)``. Status 0 is success; 1 is
+    step-size underflow and 2 a concentration below -10*atol, both reported
+    with the time at which they occurred; rows past the failure point are
+    NaN. ``stats`` is ``(accepted, rejected, rhs_evals, h_min, h_max)`` over
+    the steps taken, with ``h_min = inf`` and ``h_max = 0`` when none was
+    accepted.
     """
-    n = c0.shape[0]
-    m = times.shape[0]
-    out = np.full((m, n), np.nan)
-    for i in range(n):
-        out[0, i] = c0[i]
+    times = times.tolist()
+    y = c0.tolist()
+    n = len(y)
+    m = len(times)
+    rows = [y]
+    accepted = rejected = evals = 0
+    h_min, h_max = float("inf"), 0.0
     if m == 1:
-        return STATUS_OK, 0.0, out
+        return STATUS_OK, 0.0, np.array(rows), (0, 0, 0, h_min, h_max)
     t_end = times[m - 1]
 
-    y = c0.copy()
-    K = np.empty((7, n))
-    rhs_packed(y, term_k, term_ptr, term_sp, term_pw,
-               chg_ptr, chg_sp, chg_co, K[0])
+    f0 = rhs_packed(y, terms, n)
+    evals += 1
 
     # starting step: scaled magnitudes of y and f, refined by an Euler probe
     d0 = 0.0
     d1 = 0.0
-    for i in range(n):
-        sc = atol + rtol * abs(y[i])
-        d0 += (y[i] / sc) ** 2
-        d1 += (K[0, i] / sc) ** 2
+    for yi, fi in zip(y, f0):
+        sc = atol + rtol * abs(yi)
+        d0 += (yi / sc) ** 2
+        d1 += (fi / sc) ** 2
     d0 = (d0 / n) ** 0.5
     d1 = (d1 / n) ** 0.5
     if d0 < 1e-5 or d1 < 1e-5:
@@ -109,16 +114,12 @@ def integrate_dp54(term_k, term_ptr, term_sp, term_pw,
         h0 = 0.01 * d0 / d1
     if h0 > t_end:
         h0 = t_end
-    ytmp = np.empty(n)
-    for i in range(n):
-        ytmp[i] = y[i] + h0 * K[0, i]
-    f1 = np.empty(n)
-    rhs_packed(ytmp, term_k, term_ptr, term_sp, term_pw,
-               chg_ptr, chg_sp, chg_co, f1)
+    f1 = rhs_packed([yi + h0 * fi for yi, fi in zip(y, f0)], terms, n)
+    evals += 1
     d2 = 0.0
-    for i in range(n):
-        sc = atol + rtol * abs(y[i])
-        d2 += ((f1[i] - K[0, i]) / sc) ** 2
+    for yi, fi, gi in zip(y, f0, f1):
+        sc = atol + rtol * abs(yi)
+        d2 += ((gi - fi) / sc) ** 2
     d2 = (d2 / n) ** 0.5 / h0
     dm = d1 if d1 > d2 else d2
     if dm <= 1e-15:
@@ -131,11 +132,16 @@ def integrate_dp54(term_k, term_ptr, term_sp, term_pw,
     if h > t_end:
         h = t_end
 
-    ynew = np.empty(n)
+    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
+        (a50, a51, a52, a53, a54), (a60, a61, a62, a63, a64, a65) = _A
+    e0, e1, e2, e3, e4, e5, e6 = _E
+    k0 = f0
+    floor = -10.0 * atol
     t = 0.0
     next_out = 1
     facold = 1e-4
     last_rejected = False
+    status = STATUS_OK
 
     while next_out < m:
         if t + h > t_end:
@@ -143,29 +149,36 @@ def integrate_dp54(term_k, term_ptr, term_sp, term_pw,
         if not dense and times[next_out] < t + h:
             h = times[next_out] - t
         if h < 16.0 * _EPS * max(abs(t), 1e-8) or h <= 0.0:
-            return STATUS_STEP_UNDERFLOW, t, out
+            status = STATUS_STEP_UNDERFLOW
+            break
 
-        for s in range(1, 7):
-            for i in range(n):
-                acc = 0.0
-                for q in range(s):
-                    acc += _A[s, q] * K[q, i]
-                ytmp[i] = y[i] + h * acc
-            if s == 6:
-                for i in range(n):
-                    ynew[i] = ytmp[i]
-            rhs_packed(ytmp, term_k, term_ptr, term_sp, term_pw,
-                       chg_ptr, chg_sp, chg_co, K[s])
+        # stage sums, each accumulated from 0.0 in tableau order
+        k1 = rhs_packed([yi + h * (0.0 + a10 * x0) for yi, x0 in zip(y, k0)],
+                        terms, n)
+        k2 = rhs_packed([yi + h * (0.0 + a20 * x0 + a21 * x1)
+                         for yi, x0, x1 in zip(y, k0, k1)], terms, n)
+        k3 = rhs_packed([yi + h * (0.0 + a30 * x0 + a31 * x1 + a32 * x2)
+                         for yi, x0, x1, x2 in zip(y, k0, k1, k2)], terms, n)
+        k4 = rhs_packed([yi + h * (0.0 + a40 * x0 + a41 * x1 + a42 * x2 + a43 * x3)
+                         for yi, x0, x1, x2, x3 in zip(y, k0, k1, k2, k3)], terms, n)
+        k5 = rhs_packed([yi + h * (0.0 + a50 * x0 + a51 * x1 + a52 * x2 + a53 * x3
+                                   + a54 * x4)
+                         for yi, x0, x1, x2, x3, x4 in zip(y, k0, k1, k2, k3, k4)],
+                        terms, n)
+        ynew = [yi + h * (0.0 + a60 * x0 + a61 * x1 + a62 * x2 + a63 * x3 + a64 * x4
+                          + a65 * x5)
+                for yi, x0, x1, x2, x3, x4, x5 in zip(y, k0, k1, k2, k3, k4, k5)]
+        k6 = rhs_packed(ynew, terms, n)
+        evals += 6
+        K = (k0, k1, k2, k3, k4, k5, k6)
 
         err = 0.0
-        for i in range(n):
-            e = 0.0
-            for q in range(7):
-                e += _E[q] * K[q, i]
-            e *= h
-            ymag = abs(y[i])
-            if abs(ynew[i]) > ymag:
-                ymag = abs(ynew[i])
+        for yi, yn, x0, x1, x2, x3, x4, x5, x6 in zip(y, ynew, *K):
+            e = (0.0 + e0 * x0 + e1 * x1 + e2 * x2 + e3 * x3 + e4 * x4 + e5 * x5
+                 + e6 * x6) * h
+            ymag = abs(yi)
+            if abs(yn) > ymag:
+                ymag = abs(yn)
             sc = atol + rtol * ymag
             err += (e / sc) ** 2
         err = (err / n) ** 0.5
@@ -177,27 +190,31 @@ def integrate_dp54(term_k, term_ptr, term_sp, term_pw,
                 shrink = 0.2
             h *= shrink
             last_rejected = True
+            rejected += 1
             continue
 
         t_new = t + h
-        for i in range(n):
-            if ynew[i] < -10.0 * atol:
-                return STATUS_NEGATIVE, t_new, out
+        if any(yn < floor for yn in ynew):
+            status, t = STATUS_NEGATIVE, t_new
+            break
+        accepted += 1
+        if h < h_min:
+            h_min = h
+        if h > h_max:
+            h_max = h
 
         slack = 1e-13 * max(1.0, abs(t_new))
         while next_out < m and times[next_out] <= t_new + slack:
             theta = (times[next_out] - t) / h
             if theta >= 1.0 - 1e-12:
-                for i in range(n):
-                    out[next_out, i] = ynew[i]
+                rows.append(ynew)
             else:
-                for i in range(n):
-                    acc = 0.0
-                    for q in range(7):
-                        bq = theta * (_P[q, 0] + theta * (_P[q, 1] + theta * (
-                            _P[q, 2] + theta * _P[q, 3])))
-                        acc += bq * K[q, i]
-                    out[next_out, i] = y[i] + h * acc
+                b0, b1, b2, b3, b4, b5, b6 = [
+                    theta * (p0 + theta * (p1 + theta * (p2 + theta * p3)))
+                    for p0, p1, p2, p3 in _P]
+                rows.append([yi + h * (0.0 + b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3
+                                       + b4 * x4 + b5 * x5 + b6 * x6)
+                             for yi, x0, x1, x2, x3, x4, x5, x6 in zip(y, *K)])
             next_out += 1
 
         # PI controller (Hairer's DOPRI5 coefficients)
@@ -215,11 +232,11 @@ def integrate_dp54(term_k, term_ptr, term_sp, term_pw,
         last_rejected = False
 
         t = t_new
-        for i in range(n):
-            y[i] = ynew[i]
-            K[0, i] = K[6, i]  # first-same-as-last
+        y = ynew
+        k0 = k6  # first-same-as-last
         h *= factor
         if h > max_step:
             h = max_step
 
-    return STATUS_OK, t, out
+    rows.extend([float("nan")] * n for _ in range(m - len(rows)))
+    return status, t, np.array(rows), (accepted, rejected, evals, h_min, h_max)

@@ -7,14 +7,17 @@ experiments whose conservation totals must match.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .errors import ConservationError, IntegrationError
-from .network import ReactionNetwork, conservation_vector, validate_network
-from .trajectory import DualExperiment, Trajectory, check_grid
+from .network import ReactionNetwork, conservation_vector, pack_network, validate_network
+from .trajectory import DualExperiment, IntegratorStats, Trajectory, check_grid
+
+log = logging.getLogger(__name__)
 
 _TOTAL_TOL = 1e-12
 
@@ -35,52 +38,6 @@ class IntegratorConfig:
             raise ValueError("abs_tol must be at least 1e-16")
         if not self.max_step > 0:
             raise ValueError("max_step must be positive")
-
-
-def pack_network(net: ReactionNetwork):
-    """Flatten a network into the CSR-style arrays the kernels consume.
-
-    One term per reaction direction with a positive rate constant; the
-    backward direction swaps the roles of reactants and products.
-    """
-    term_k = []
-    term_ptr = [0]
-    term_sp = []
-    term_pw = []
-    chg_ptr = [0]
-    chg_sp = []
-    chg_co = []
-
-    def add_term(k, sources, sinks):
-        term_k.append(k)
-        for idx, coeff in sources:
-            term_sp.append(idx)
-            term_pw.append(coeff)
-        term_ptr.append(len(term_sp))
-        delta = {}
-        for idx, coeff in sources:
-            delta[idx] = delta.get(idx, 0.0) - coeff
-        for idx, coeff in sinks:
-            delta[idx] = delta.get(idx, 0.0) + coeff
-        for idx in sorted(delta):
-            chg_sp.append(idx)
-            chg_co.append(delta[idx])
-        chg_ptr.append(len(chg_sp))
-
-    for rxn in net.reactions:
-        add_term(rxn.k_forward, rxn.reactants, rxn.products)
-        if rxn.reversible:
-            add_term(rxn.k_backward, rxn.products, rxn.reactants)
-
-    return (
-        np.asarray(term_k, dtype=float),
-        np.asarray(term_ptr, dtype=np.int64),
-        np.asarray(term_sp, dtype=np.int64),
-        np.asarray(term_pw, dtype=np.int64),
-        np.asarray(chg_ptr, dtype=np.int64),
-        np.asarray(chg_sp, dtype=np.int64),
-        np.asarray(chg_co, dtype=float),
-    )
 
 
 def integrate(
@@ -106,11 +63,12 @@ def integrate(
     if np.any(c0 < 0):
         raise ValueError("initial concentrations must be nonnegative")
     check_grid(times)
-    packed = pack_network(net)
-    status, t_stop, values = _kernels.integrate_dp54(
-        *packed, c0, times,
+    status, t_stop, values, counts = _kernels.integrate_dp54(
+        pack_network(net), c0, times,
         cfg.rel_tol, cfg.abs_tol, float(cfg.max_step), cfg.dense_output,
     )
+    stats = IntegratorStats(*counts)
+    log.debug("integrate %s: %s", label or "run", stats)
     if status == _kernels.STATUS_STEP_UNDERFLOW:
         raise IntegrationError("step size underflow", t=t_stop)
     if status == _kernels.STATUS_NEGATIVE:
@@ -119,7 +77,7 @@ def integrate(
             t=t_stop,
         )
     init = int(np.argmax(c0))
-    return Trajectory(times, values, init, label, net)
+    return Trajectory(times, values, init, label, net, stats)
 
 
 def primed_amounts(

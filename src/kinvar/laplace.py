@@ -271,13 +271,19 @@ def poly_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
 ExactEntries = Sequence[Sequence[Fraction]]
 
 
+_ZERO = Fraction(0)
+
+
 def exact_entries(M) -> list:
     """Square matrix of Fractions from a RateMatrix or any nested sequence.
 
-    Floats are converted at their exact binary values.
+    Floats are converted at their exact binary values; zeros share one
+    ``Fraction(0)``.
     """
     entries = getattr(M, "entries", M)
-    rows = [[_as_fraction(x) for x in row] for row in entries]
+    if hasattr(entries, "tolist"):
+        entries = entries.tolist()
+    rows = [[_as_fraction(x) if x else _ZERO for x in row] for row in entries]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("rate matrix must be square")

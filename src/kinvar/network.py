@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._kernels import rhs_packed
 from .errors import BalanceError, ConfigError, ConservationError, NetworkValidationError
 
 ORDER_FIRST = "all-first-order"
@@ -200,29 +201,45 @@ def butene_cycle() -> ReactionNetwork:
     )
 
 
+def pack_network(net: ReactionNetwork) -> tuple:
+    """Flatten a network into the tuple of terms the kernels consume.
+
+    One term ``(k, factors, changes)`` per reaction direction with a positive
+    rate constant, in reaction order; the backward direction swaps the roles
+    of reactants and products. ``factors`` repeats each rate-law species by
+    its coefficient, and ``changes`` pairs each species with its increment
+    per unit rate (see :mod:`._kernels`).
+    """
+    terms = []
+    for rxn in net.reactions:
+        terms.append(_packed_term(rxn.k_forward, rxn.reactants, rxn.products))
+        if rxn.reversible:
+            terms.append(_packed_term(rxn.k_backward, rxn.products, rxn.reactants))
+    return tuple(terms)
+
+
+def _packed_term(k, sources, sinks) -> tuple:
+    factors = []
+    changes = []
+    for i, nu in sources:
+        factors += [i] * nu
+        changes.append((i, -float(nu)))
+    for j, nu in sinks:
+        changes.append((j, float(nu)))
+    return float(k), tuple(factors), tuple(changes)
+
+
 def mass_action_rhs(net: ReactionNetwork, c: np.ndarray) -> np.ndarray:
     """Time derivative of concentrations under the mass-action law.
 
-    Each reaction contributes ``rate = kf * prod(c_i^nu_i) - kb * prod(c_j^nu_j)``,
-    removed from reactants and added to products with stoichiometric multiplicity.
+    Evaluates the integrator's own right-hand side on the packed network:
+    each reaction direction contributes ``k * prod(c_i^nu_i)``, removed from
+    its reactants and added to its products with stoichiometric multiplicity.
     """
     c = np.asarray(c, dtype=float)
     if c.shape != (net.n,):
         raise ValueError(f"concentration vector has shape {c.shape}, expected ({net.n},)")
-    out = np.zeros(net.n)
-    for rxn in net.reactions:
-        fwd = rxn.k_forward
-        for i, nu in rxn.reactants:
-            fwd *= c[i] ** nu
-        bwd = rxn.k_backward
-        for j, nu in rxn.products:
-            bwd *= c[j] ** nu
-        rate = fwd - bwd
-        for i, nu in rxn.reactants:
-            out[i] -= nu * rate
-        for j, nu in rxn.products:
-            out[j] += nu * rate
-    return out
+    return np.array(rhs_packed(c.tolist(), pack_network(net), net.n))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,13 +21,30 @@ def check_grid(times: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
+class IntegratorStats:
+    """Work done by the adaptive integrator for one trajectory.
+
+    ``min_step`` and ``max_step`` range over the accepted steps; they are
+    ``inf`` and ``0.0`` when no step was accepted.
+    """
+
+    accepted_steps: int
+    rejected_steps: int
+    rhs_evals: int
+    min_step: float
+    max_step: float
+
+
+@dataclass(frozen=True)
 class Trajectory:
     """Concentrations on a time grid for one initial condition.
 
     ``initial_species`` is the primed substance; ``label`` is a display tag
     such as ``"from A"``.  When the trajectory came from a network simulation,
     ``network`` keeps a reference so downstream reports can resolve species
-    names and equilibria.
+    names and equilibria.  ``stats`` holds the integrator's step counts when
+    the adaptive integrator produced the trajectory; it takes no part in
+    comparisons.
     """
 
     times: np.ndarray
@@ -35,6 +52,7 @@ class Trajectory:
     initial_species: int
     label: str
     network: ReactionNetwork | None = None
+    stats: IntegratorStats | None = field(default=None, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)

@@ -1,10 +1,15 @@
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
 from kinvar import (
     ConservationError,
+    IntegrationError,
     IntegratorConfig,
     Reaction,
+    Trajectory,
     build_rate_matrix,
     conservation_vector,
     dual_experiment_nonlinear,
@@ -22,15 +27,34 @@ def _ab2(kp=3.0, km=1.0):
     return make_network(["A", "B"], [Reaction(((0, 2),), ((1, 1),), kp, km)])
 
 
+def _stiff():
+    # 2A <=> B fast, B <=> C slow
+    return make_network(["A", "B", "C"], [
+        Reaction(((0, 2),), ((1, 1),), 1e4, 1e3),
+        Reaction(((1, 1),), ((2, 1),), 1e-2, 5e-3),
+    ])
+
+
+def _counting_rhs(monkeypatch):
+    """Count the kernel's right-hand-side evaluations; returns the counter."""
+    calls = [0]
+    rhs = _kernels.rhs_packed
+
+    def counted(*args):
+        calls[0] += 1
+        return rhs(*args)
+
+    monkeypatch.setattr(_kernels, "rhs_packed", counted)
+    return calls
+
+
 def test_pack_network_splits_directions():
     net = _ab2(3.0, 1.0)
-    term_k, term_ptr, term_sp, term_pw, chg_ptr, chg_sp, chg_co = pack_network(net)
-    assert list(term_k) == [3.0, 1.0]
+    (kf, factors, changes), (kb, _, _) = pack_network(net)
+    assert [kf, kb] == [3.0, 1.0]
     # forward term consumes A twice
-    sl = slice(term_ptr[0], term_ptr[1])
-    assert list(term_sp[sl]) == [0] and list(term_pw[sl]) == [2]
-    sl = slice(chg_ptr[0], chg_ptr[1])
-    assert dict(zip(chg_sp[sl], chg_co[sl])) == {0: -2.0, 1: 1.0}
+    assert factors == (0, 0)
+    assert dict(changes) == {0: -2.0, 1: 1.0}
 
 
 def test_integrate_matches_linear_engine():
@@ -121,3 +145,71 @@ def test_integrate_rejects_bad_grid_before_stepping(monkeypatch):
             integrate(_ab2(), np.array([1.0, 0.0]), times)
         with pytest.raises(ValueError, match="strictly increasing"):
             dual_experiment_nonlinear(_ab2(), 0, 1, times=times)
+
+
+def test_integrate_step_sequence_is_pinned(monkeypatch):
+    # the step sequence and output bits of the Dormand-Prince loop as first
+    # recorded; any change to its arithmetic or controller moves them
+    calls = _counting_rhs(monkeypatch)
+    t = np.concatenate(([0.0], np.geomspace(1e-3, 6.0, 50)))
+    traj = integrate(_ab2(3.0, 1.0), np.array([1.0, 0.0]), t)
+    assert calls[0] == 1082
+    c = traj.concentrations
+    assert repr(float(c[1, 0])) == "0.9940387604760305"
+    assert repr(float(c[25, 1])) == "0.14453838978183606"
+    assert repr(float(c[-1, 0])) == "0.33333333333523946"
+    assert traj.stats.rhs_evals == calls[0]
+
+
+def test_integrate_negative_concentration_fails_at_pinned_time():
+    cfg = IntegratorConfig(rel_tol=0.1, abs_tol=1e-16)
+    times = np.concatenate(([0.0], np.geomspace(1e-6, 1.0, 200)))
+    c0 = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(IntegrationError, match="concentration fell below") as err:
+        integrate(_stiff(), c0, times, cfg)
+    assert err.value.t == 0.025895066588000407
+
+    # the kernel leaves the rows past the failure as NaN
+    status, t_fail, out, _ = _kernels.integrate_dp54(
+        pack_network(_stiff()), c0, times, cfg.rel_tol, cfg.abs_tol, np.inf, True)
+    assert status == _kernels.STATUS_NEGATIVE and t_fail == err.value.t
+    reached = times <= t_fail
+    assert np.all(np.isfinite(out[reached])) and np.all(np.isnan(out[~reached]))
+
+
+def test_integrate_step_underflow_fails_at_start():
+    t = np.concatenate(([0.0], np.geomspace(1e-3, 6.0, 50)))
+    with pytest.raises(IntegrationError, match="step size underflow") as err:
+        integrate(_ab2(), np.array([1.0, 0.0]), t, IntegratorConfig(max_step=1e-30))
+    assert err.value.t == 0.0
+
+
+def test_integrate_one_point_grid_returns_initial_state(monkeypatch):
+    calls = _counting_rhs(monkeypatch)
+    traj = integrate(_ab2(), np.array([0.25, 0.5]), np.array([0.0]))
+    assert calls[0] == 0
+    assert traj.concentrations.tolist() == [[0.25, 0.5]]
+    assert traj.stats.accepted_steps == traj.stats.rhs_evals == 0
+
+
+def test_integrate_irreversible_reaction_matches_exponential():
+    net = make_network(["A", "B"], [Reaction(((0, 1),), ((1, 1),), 2.0, 0.0)])
+    t = np.linspace(0.0, 3.0, 31)
+    traj = integrate(net, np.array([1.0, 0.0]), t)
+    np.testing.assert_allclose(traj.species(0), np.exp(-2.0 * t), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(traj.species(1), -np.expm1(-2.0 * t), rtol=0, atol=1e-10)
+
+
+def test_integrator_stats_are_counted_and_logged(caplog):
+    times = np.concatenate(([0.0], np.geomspace(1e-6, 1e-2, 40)))
+    cfg = IntegratorConfig(rel_tol=1e-6)
+    with caplog.at_level(logging.DEBUG, logger="kinvar.integrate"):
+        traj = integrate(_stiff(), np.array([1.0, 0.0, 0.0]), times, cfg, "from A")
+    stats = traj.stats
+    assert stats.accepted_steps > 0 and stats.rejected_steps > 0
+    # two evaluations choose the first step, then six per attempted step
+    assert stats.rhs_evals == 2 + 6 * (stats.accepted_steps + stats.rejected_steps)
+    assert 0.0 < stats.min_step <= stats.max_step <= times[-1]
+    assert [r.message for r in caplog.records] == [f"integrate from A: {stats}"]
+    field = {f.name: f for f in dataclasses.fields(Trajectory)}["stats"]
+    assert field.default is None and not field.compare

@@ -385,6 +385,16 @@ def test_exact_entries_preserves_float_rates():
     assert entries[1][0] != Fraction(1, 10)
 
 
+def test_exact_entries_same_from_array_and_lists(rng):
+    net, _ = balanced_integer_network(rng, 16, 4)
+    M = build_rate_matrix(net)
+    by_element = [[Fraction(float(x)) for x in row] for row in M.entries]
+    for entries in (exact_entries(M), exact_entries(M.entries),
+                    exact_entries(M.entries.tolist())):
+        assert entries == by_element
+        assert all(type(x) is Fraction for row in entries for x in row)
+
+
 def test_exact_balance_of_butene_rewrites_the_non_tree_edge():
     # The forest of the butene triangle is rooted at cis-2-butene (0) with
     # children 1-butene (1) and trans-2-butene (2); the non-tree edge 1 -> 2
