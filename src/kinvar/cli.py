@@ -54,7 +54,7 @@ from .invariants import (
     resolve_expected_K,
 )
 from .laplace import exact_balance, prove_fixed_proportion
-from .linear import build_rate_matrix, default_time_grid, dual_experiment, simulate_linear
+from .linear import build_rate_matrix, default_time_grid, dual_experiment
 from .network import (
     ORDER_FIRST,
     ReactionNetwork,
@@ -442,6 +442,8 @@ def cmd_simulate(args) -> int:
     if cycle_report is not None:
         summary["cycle_max_mismatch"] = cycle_report.max_mismatch
         summary["balance"] = sc.balance
+        if sc.balance == "enforce":
+            summary["cycle_max_mismatch_after"] = check_cycle_conditions(net).max_mismatch
     if args.oracle:
         summary["oracle"] = _oracle_check(net, engine, a, b, times, sc.experiment,
                                           dual)
@@ -593,7 +595,7 @@ def cmd_balance(args) -> int:
     before = check_cycle_conditions(net)
     balanced = balance_network(net)
     after = check_cycle_conditions(balanced)
-    # a cycle step against its reaction's direction rescales k_forward
+    # a reaction that runs against its cycle's non-tree edge has k_forward rescaled
     changes = [
         abs(new / old - 1.0)
         for a, b in zip(net.reactions, balanced.reactions)

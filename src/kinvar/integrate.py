@@ -60,6 +60,8 @@ def integrate(
     times = np.asarray(times, dtype=float)
     if c0.shape != (net.n,):
         raise ValueError(f"initial state has shape {c0.shape}, expected ({net.n},)")
+    if not np.all(np.isfinite(c0)):
+        raise ValueError("initial concentrations must be finite")
     if np.any(c0 < 0):
         raise ValueError("initial concentrations must be nonnegative")
     check_grid(times)

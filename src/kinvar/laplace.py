@@ -27,12 +27,13 @@ from typing import Optional, Sequence
 from .errors import NoReversiblePathError
 from .network import (
     ReactionNetwork,
+    balanced_rates,
+    cycle_products,
     merged_rates,
     path_products,
     potentials,
     reversible_edges,
     shortest_path,
-    spanning_forest,
 )
 
 log = logging.getLogger(__name__)
@@ -477,12 +478,8 @@ def exact_cycle_violations(M) -> list:
 
 
 def _cycle_violations(n: int, rates: dict) -> list:
-    violations = []
-    for cycle in spanning_forest(n, reversible_edges(rates)).cycles():
-        fwd, back = path_products(rates, cycle)
-        if fwd != back:
-            violations.append(CycleViolation(tuple(cycle), fwd, back))
-    return violations
+    return [CycleViolation(tuple(cycle), fwd, back)
+            for cycle, fwd, back in cycle_products(n, rates) if fwd != back]
 
 
 @dataclass(frozen=True)
@@ -627,21 +624,15 @@ def path_equilibrium_constant(net: ReactionNetwork, a: int, b: int) -> Fraction:
 def exact_balance(M) -> list:
     """Exactly detailed-balanced copy of a merged rate matrix, in rationals.
 
-    A spanning forest of the reversible subgraph fixes multiplicative
-    potentials h (h_root = 1, h_child = h_parent * k_fwd / k_back along tree
-    edges); every remaining reversible edge u -> v with u < v keeps its u -> v
-    rate and has the v -> u rate replaced by k_{u->v} h_u / h_v. Tree-edge and
-    irreversible rates are untouched. The result satisfies every reversible
-    cycle condition exactly, at the cost of rates that are generally not
-    representable in floating point.
+    The rates are rebalanced by :func:`~kinvar.network.balanced_rates`, the
+    rule ``balance_network`` applies in floats, and the diagonal is rebuilt
+    from the column sums. The new rates are generally not floats.
     """
     entries = exact_entries(M)
     n = len(entries)
-    rates = _rate_map(entries)
-    h = potentials(n, rates)
     out = [row[:] for row in entries]
-    for u, v in spanning_forest(n, reversible_edges(rates)).non_tree:
-        out[u][v] = out[v][u] * h[u] / h[v]
+    for (u, v), k in balanced_rates(n, _rate_map(entries)).items():
+        out[v][u] = k
     for j in range(n):
         out[j][j] = -sum(out[i][j] for i in range(n) if i != j)
     return out

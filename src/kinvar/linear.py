@@ -23,8 +23,8 @@ log = logging.getLogger(__name__)
 # reconstruction residual exceeds this (relative to ||M||)
 _EIG_RESIDUAL_TOL = 1e-8
 # largest relative flux mismatch |M_vu h_u - M_uv h_v| / max(...) accepted as
-# detailed balance; above the roundoff that balance_network stops at (1e-12
-# on a cycle product)
+# detailed balance; a margin over roundoff (balance_network leaves about
+# 1e-15 on a cycle product)
 _BALANCE_TOL = 1e-11
 
 

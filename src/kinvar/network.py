@@ -93,8 +93,8 @@ class CycleCondition:
     """One basis cycle of the reversible subgraph.
 
     ``edges`` lists the traversed directed steps ``(u, v)``; ``forward_product``
-    multiplies the rate constants along the traversal, ``backward_product``
-    against it.
+    and ``backward_product`` are the :func:`path_products` along and against
+    the traversal.
     """
 
     edges: tuple[tuple[int, int], ...]
@@ -127,8 +127,8 @@ def validate_network(net: ReactionNetwork) -> ReactionNetwork:
     """Check structural invariants and return the network with ``order_kind`` set.
 
     Raises :class:`NetworkValidationError` on duplicate species names, invalid
-    indices, nonpositive forward rates, empty reactant/product lists, or a
-    species appearing on both sides of one reaction.
+    indices, non-finite or negative rates, a zero forward rate, empty
+    reactant/product lists, or a species on both sides of one reaction.
     """
     names = [s.name for s in net.species]
     for i, s in enumerate(net.species):
@@ -154,6 +154,8 @@ def validate_network(net: ReactionNetwork) -> ReactionNetwork:
             raise NetworkValidationError(f"reaction {r}: species on both sides")
         if len(reac_set) != len(rxn.reactants) or len(prod_set) != len(rxn.products):
             raise NetworkValidationError(f"reaction {r}: repeated species in one side")
+        if not (math.isfinite(rxn.k_forward) and math.isfinite(rxn.k_backward)):
+            raise NetworkValidationError(f"reaction {r}: non-finite rate constant")
         if not rxn.k_forward > 0.0:
             raise NetworkValidationError(f"reaction {r}: nonpositive forward rate")
         if rxn.k_backward < 0.0:
@@ -281,11 +283,17 @@ def reversible_edges(rates) -> list[tuple[int, int]]:
 
 
 def path_products(rates, walk) -> tuple:
-    """Rate products along a vertex walk and against it, in the arithmetic of ``rates``."""
+    """Rate products along a vertex walk and against it, in the arithmetic of ``rates``.
+
+    Floats share exact power-of-two rescalings, so long walks cannot overflow.
+    """
     along = against = 1
     for x, y in zip(walk, walk[1:]):
         along *= rates[(x, y)]
         against *= rates[(y, x)]
+        if isinstance(along, float) and not 2.0 ** -500 < along < 2.0 ** 500:
+            e = math.frexp(along)[1]
+            along, against = math.ldexp(along, -e), math.ldexp(against, -e)
     return along, against
 
 
@@ -406,6 +414,12 @@ def shortest_path(n: int, edges, a: int, b: int) -> list[int] | None:
     return None
 
 
+def cycle_products(n: int, rates) -> list[tuple]:
+    """Basis cycles of the reversible edges of ``rates``, each with its :func:`path_products`."""
+    cycles = spanning_forest(n, reversible_edges(rates)).cycles()
+    return [(cycle, *path_products(rates, cycle)) for cycle in cycles]
+
+
 def check_cycle_conditions(net: ReactionNetwork, tol: float = 1e-9) -> CycleConditionReport:
     """Wegscheider cycle conditions on the reversible subgraph of the merged rates.
 
@@ -415,26 +429,33 @@ def check_cycle_conditions(net: ReactionNetwork, tol: float = 1e-9) -> CycleCond
     of species count as one edge carrying their summed rates.
     """
     _require_first_order(net, "check_cycle_conditions")
-    rates = merged_rates(net)
-    cycles = []
-    for cycle in spanning_forest(net.n, reversible_edges(rates)).cycles():
-        fwd, bwd = path_products(rates, cycle)
-        cycles.append(CycleCondition(tuple(zip(cycle, cycle[1:])), fwd, bwd))
+    cycles = [CycleCondition(tuple(zip(cycle, cycle[1:])), fwd, bwd)
+              for cycle, fwd, bwd in cycle_products(net.n, merged_rates(net))]
     return CycleConditionReport(tuple(cycles), tol)
 
 
-def balance_network(net: ReactionNetwork, max_sweeps: int = 10_000) -> ReactionNetwork:
-    """Minimally rescale backward rates so every cycle condition holds.
+def balanced_rates(n: int, rates) -> dict:
+    """Copy of a rate map on which every reversible cycle condition holds.
 
-    Per basis cycle of the merged reversible graph, every rate against the
-    cycle traversal is multiplied by ``(prod along / prod against) **
-    (1/len)``, which balances that cycle exactly.  On a reaction, the rate
-    against the traversal is ``k_backward`` when the step follows the
-    reaction direction and ``k_forward`` when it runs against it; parallel
-    reactions share the factor of their merged rate.  Cycles sharing edges
-    perturb each other, so the
-    rule is swept cyclically until the worst mismatch stops improving (a
-    projection iteration with geometric convergence).  Deterministic.
+    Each basis cycle ``u -> v -> ... -> u`` closes on its non-tree edge
+    ``(u, v)``; ``k(v -> u)`` is multiplied by the cycle's product along over
+    its product against.  The cycles share no non-tree edge, so one pass
+    balances them all, in the arithmetic of ``rates``.
+    """
+    out = dict(rates)
+    for (u, v, *_), along, against in cycle_products(n, rates):
+        out[(v, u)] = rates[(v, u)] * along / against
+    return out
+
+
+def balance_network(net: ReactionNetwork) -> ReactionNetwork:
+    """Rescale one merged rate per basis cycle so every cycle condition holds.
+
+    The merged rates are balanced by :func:`balanced_rates`, the rule that
+    :func:`~kinvar.laplace.exact_balance` applies in rationals.  A rescaled
+    merged rate ``k(x -> y)`` scales the ``k_forward`` of every reaction
+    ``x -> y`` and the ``k_backward`` of every reaction ``y -> x`` by one
+    factor.  A network whose cycle products agree exactly comes back unchanged.
 
     Raises :class:`BalanceError` when some cycle of the full reaction graph
     contains an irreversible step (its backward product is pinned at zero).
@@ -445,25 +466,7 @@ def balance_network(net: ReactionNetwork, max_sweeps: int = 10_000) -> ReactionN
         steps = zip(cycle, cycle[1:])
         if any((x, y) not in rates or (y, x) not in rates for x, y in steps):
             raise BalanceError("cycle contains an irreversible step; cannot balance")
-
-    cycles = spanning_forest(net.n, reversible_edges(rates)).cycles()
-    if not cycles:
-        return net
-
-    k = dict(rates)
-    prev_worst = math.inf
-    for _ in range(max_sweeps):
-        worst = 0.0
-        for cycle in cycles:
-            fwd, bwd = path_products(k, cycle)
-            ratio = fwd / bwd
-            worst = max(worst, abs(ratio - 1.0))
-            factor = ratio ** (1.0 / (len(cycle) - 1))
-            for x, y in zip(cycle, cycle[1:]):
-                k[(y, x)] *= factor
-        if worst < 1e-15 or (worst < 1e-12 and worst >= 0.9 * prev_worst):
-            break  # converged, or stalled at the roundoff floor
-        prev_worst = worst
+    k = balanced_rates(net.n, rates)
 
     def rescaled(pair, old: float) -> float:
         if old == 0.0 or k[pair] == rates[pair]:

@@ -45,6 +45,18 @@ def balanced_integer_network(rng, n, extra_edges=2, h_max=6, g_max=9):
     return net, h
 
 
+def perturbed_network(rng, net):
+    """Copy of ``net`` with every backward rate scaled by a random factor."""
+    return first_order_network(
+        list(net.names),
+        [
+            (net.names[r.reactants[0][0]], net.names[r.products[0][0]],
+             r.k_forward, r.k_backward * float(rng.uniform(0.5, 2.0)))
+            for r in net.reactions
+        ],
+    )
+
+
 def exact_pair_constant(h, a, b) -> Fraction:
     """Equilibrium constant h_b/h_a for a balanced-integer network pair."""
     return Fraction(h[b], h[a])

@@ -184,29 +184,48 @@ def test_balance_command(tmp_path, capsys):
 
 
 def test_balance_report_counts_forward_rescaling(tmp_path, capsys):
-    # In the triangle the basis cycle B -> C -> A -> B runs against A -> C, so
-    # balancing rescales that reaction's k_forward. The second network adds
-    # the triangle D -> C -> A -> D sharing the step C -> A, so the k_forward
-    # of A -> C takes both cycles' factors and changes most.
-    triangle = [("B", "A", 1.0, 1.0), ("B", "C", 2.0, 1.0), ("A", "C", 1.0, 1.0)]
-    two_triangles = [("A", "B", 1.0, 1.0), ("A", "C", 1.0, 1.0), ("A", "D", 1.0, 1.0),
-                     ("B", "C", 2.0, 1.0), ("D", "C", 2.0, 1.0)]
-    for k, (names, edges) in enumerate([("ABC", triangle), ("ABCD", two_triangles)]):
-        net = first_order_network(list(names), edges)
+    # The basis cycle C -> B -> A -> C closes on the non-tree edge C -> B, so
+    # balancing rescales the merged k(B -> C), to which the B -> C reaction
+    # contributes its k_forward. In the first network a C -> B reaction
+    # shares that factor on its k_backward; in the second it is irreversible
+    # and the k_forward is the only rate that changes.
+    shared = [("A", "B", 1.0, 1.0), ("A", "C", 1.0, 1.0), ("C", "B", 2.0, 1.0),
+              ("B", "C", 1.0, 1.0)]
+    forward_only = shared[:2] + [("C", "B", 2.0, 0.0), ("B", "C", 1.0, 1.0)]
+    expected = [(shared, (2.0, 1.5), (1.5, 1.0), 0.5),
+                (forward_only, (2.0, 0.0), (3.0, 1.0), 2.0)]
+    for k, (edges, c_to_b, b_to_c, change) in enumerate(expected):
         path = tmp_path / f"net{k}.json"
-        save_network(net, path)
+        save_network(first_order_network(list("ABC"), edges), path)
         out = tmp_path / f"out{k}"
         assert main(["balance", "--config", str(path), "--out", str(out)]) == 0
         report = json.loads((out / "balance_report.json").read_text())
         balanced = json.loads((out / "balanced_network.json").read_text())
-        a_to_c = edges.index(("A", "C", 1.0, 1.0))
-        changes = {}
-        for r, (old, new) in enumerate(zip(net.reactions, balanced["reactions"])):
-            changes[(r, "k_forward")] = abs(new["k_forward"] / old.k_forward - 1.0)
-            changes[(r, "k_backward")] = abs(new["k_backward"] / old.k_backward - 1.0)
-        assert changes[(a_to_c, "k_forward")] > 0.2
-        assert report["max_relative_change"] == max(changes.values())
-    assert max(changes, key=changes.get) == (a_to_c, "k_forward")
+        rates = [(r["k_forward"], r["k_backward"]) for r in balanced["reactions"]]
+        assert rates == [(1.0, 1.0), (1.0, 1.0), c_to_b, b_to_c]
+        assert report["max_relative_change"] == change
+
+
+@pytest.mark.parametrize("field, value", [("k_backward", float("nan")),
+                                          ("k_forward", float("inf"))])
+def test_non_finite_rate_constant_exits_2(tmp_path, capsys, field, value):
+    network = {"species": ["A", "B"],
+               "reactions": [{"reactants": [["A", 1]], "products": [["B", 1]],
+                              "k_forward": 2.0, "k_backward": 1.0, field: value}]}
+    cfg = _write_scenario(tmp_path, network=network)
+    assert main(["invariants", "--config", str(cfg), "--out", str(tmp_path / "i")]) == 2
+    assert "reaction 0: non-finite rate constant" in capsys.readouterr().err
+
+
+def test_simulate_balance_reports_mismatch_before_and_after(tmp_path, capsys):
+    cfg = _butene_scenario(tmp_path)
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s"),
+               "--balance"])
+    assert rc == 0
+    summary = json.loads((tmp_path / "s" / "summary.json").read_text())
+    assert summary["balance"] == "enforce"
+    assert 9e-4 < summary["cycle_max_mismatch"] < 1e-3
+    assert summary["cycle_max_mismatch_after"] <= 1e-15
 
 
 @pytest.mark.parametrize(

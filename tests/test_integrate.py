@@ -105,6 +105,16 @@ def test_integrate_rejects_negative_initial_state():
         integrate(_ab2(), np.array([1.0, -0.1]), np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_integrate_rejects_non_finite_initial_state(monkeypatch, bad):
+    def unreachable(*args):
+        raise AssertionError("integrated a non-finite initial state")
+
+    monkeypatch.setattr(_kernels, "integrate_dp54", unreachable)
+    with pytest.raises(ValueError, match="finite"):
+        integrate(_ab2(), np.array([bad, 0.0]), np.array([0.0, 1.0]))
+
+
 def test_dual_experiment_nonlinear_derives_partner_amount():
     net = _ab2()
     times = np.concatenate(([0.0], np.geomspace(1e-3, 8.0, 40)))

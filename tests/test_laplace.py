@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import balanced_integer_network, exact_pair_constant
+from conftest import balanced_integer_network, exact_pair_constant, perturbed_network
 
 from kinvar import (
     NoReversiblePathError,
     Polynomial,
     all_transfer_functions_forest,
+    balance_network,
     build_rate_matrix,
     butene_cycle,
     characteristic_polynomial,
@@ -327,24 +328,12 @@ def test_path_equilibrium_constant_unbalanced_takes_shortest_path():
     assert path_equilibrium_constant(net, 0, 2) == 2
 
 
-def _perturbed(rng, net):
-    """Copy of ``net`` with every backward rate scaled by a random factor."""
-    return first_order_network(
-        list(net.names),
-        [
-            (net.names[r.reactants[0][0]], net.names[r.products[0][0]],
-             r.k_forward, r.k_backward * float(rng.uniform(0.5, 2.0)))
-            for r in net.reactions
-        ],
-    )
-
-
 def test_float_and_exact_cycle_verdicts_agree(rng):
     violated = 0
     for trial in range(20):
         n = int(rng.integers(3, 9))
         net, _ = balanced_integer_network(rng, n, extra_edges=int(rng.integers(0, 4)))
-        for subject in (net, _perturbed(rng, net)):
+        for subject in (net, perturbed_network(rng, net)):
             float_verdict = check_cycle_conditions(subject).satisfied
             exact_verdict = not exact_cycle_violations(build_rate_matrix(subject))
             assert float_verdict == exact_verdict
@@ -411,17 +400,33 @@ def test_exact_balance_of_butene_rewrites_the_non_tree_edge():
 
 
 def test_exact_balance_keeps_balanced_and_repairs_perturbed_networks(rng):
+    # balance_network applies the same rule in floats
     for trial in range(20):
         n = int(rng.integers(3, 9))
         net, _ = balanced_integer_network(rng, n, extra_edges=int(rng.integers(1, 4)))
         M = build_rate_matrix(net)
         assert exact_balance(M) == exact_entries(M)
-        perturbed = build_rate_matrix(_perturbed(rng, net))
-        before = exact_entries(perturbed)
-        after = exact_balance(perturbed)
+        assert balance_network(net) == net
+        perturbed = perturbed_network(rng, net)
+        before = exact_entries(build_rate_matrix(perturbed))
+        after = exact_balance(before)
+        after_float = exact_entries(build_rate_matrix(balance_network(perturbed)))
         assert exact_cycle_violations(after) == []
-        changed = [(i, j) for i in range(n) for j in range(n)
-                   if i != j and after[i][j] != before[i][j]]
-        # one rate per basis cycle, each the reverse of a rate kept as is
-        assert len(changed) <= len(check_cycle_conditions(net).cycles)
-        assert all(after[j][i] == before[j][i] for i, j in changed)
+        cycles = len(check_cycle_conditions(net).cycles)
+        for balanced in (after, after_float):
+            changed = [(i, j) for i in range(n) for j in range(n)
+                       if i != j and balanced[i][j] != before[i][j]]
+            # one rate per basis cycle, each the reverse of a rate kept as is
+            assert len(changed) <= cycles
+            assert all(balanced[j][i] == before[j][i] for i, j in changed)
+        np.testing.assert_allclose(np.array(after_float, dtype=float),
+                                   np.array(after, dtype=float), rtol=1e-13)
+
+
+def test_float_and_exact_balance_give_butene_the_same_constants():
+    exact = exact_balance(build_rate_matrix(butene_cycle()))
+    balanced = balance_network(butene_cycle())
+    for a, b in [(0, 1), (0, 2), (1, 2)]:
+        K = prove_fixed_proportion(exact, a, b).K
+        K_float = float(path_equilibrium_constant(balanced, a, b))
+        assert K_float == pytest.approx(float(K), rel=1e-13)

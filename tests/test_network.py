@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import balanced_integer_network
+from conftest import balanced_integer_network, perturbed_network
 
 from kinvar import (
     ConfigError,
@@ -26,7 +26,7 @@ from kinvar import (
     stoichiometric_matrix,
     validate_network,
 )
-from kinvar.network import merged_rates, potentials
+from kinvar.network import merged_rates, network_from_dict, potentials
 
 
 def test_first_order_network_sets_order_kind():
@@ -63,6 +63,15 @@ def test_general_order_detected():
 def test_validation_rejects(species, reactions):
     with pytest.raises(NetworkValidationError):
         make_network(species, reactions)
+
+
+@pytest.mark.parametrize("field, value", [("k_backward", float("nan")),
+                                          ("k_forward", float("inf"))])
+def test_network_from_dict_rejects_non_finite_rates(field, value):
+    rxn = {"reactants": [["A", 1]], "products": [["B", 1]],
+           "k_forward": 2.0, "k_backward": 1.0, field: value}
+    with pytest.raises(ConfigError, match="reaction 0: non-finite rate constant"):
+        network_from_dict({"species": ["A", "B"], "reactions": [rxn]})
 
 
 def test_validation_rejects_shuffled_species_indices():
@@ -122,6 +131,22 @@ def test_balance_network_repairs_butene():
     for a, b in zip(raw.reactions, balanced.reactions):
         assert abs(b.k_forward / a.k_forward - 1.0) < 1e-3
         assert abs(b.k_backward / a.k_backward - 1.0) < 1e-3
+
+
+def test_balance_network_reaches_roundoff_on_200_species(rng):
+    net, _ = balanced_integer_network(rng, 200, extra_edges=40)
+    balanced = balance_network(perturbed_network(rng, net))
+    assert check_cycle_conditions(balanced).max_mismatch <= 1e-12
+
+
+def test_cycle_products_survive_float_overflow():
+    # 400 rates of 10 each way multiply to 1e400, beyond the float range
+    names = [f"S{i}" for i in range(400)]
+    ring = [(names[i], names[(i + 1) % 400], 10.0, 10.0) for i in range(400)]
+    assert check_cycle_conditions(first_order_network(names, ring)).max_mismatch == 0.0
+    ring[0] = (names[0], names[1], 10.0, 12.0)
+    balanced = balance_network(first_order_network(names, ring))
+    assert check_cycle_conditions(balanced).max_mismatch <= 1e-12
 
 
 def test_balance_network_without_cycles_is_identity():
