@@ -476,6 +476,13 @@ def cmd_invariants(args) -> int:
         return EXIT_OK
     if not sc.invariants:
         raise ConfigError("scenario defines no invariants")
+    # every kind reads its pair's species from the runs primed with the
+    # experiment pair, so any other pair is not the ratio it names
+    primed = (sc.experiment.a, sc.experiment.b)
+    for req in sc.invariants:
+        if tuple(req.pair) != primed:
+            raise ConfigError(f"invariant pair {list(req.pair)} is not the "
+                              f"experiment pair {list(primed)}")
     net, _ = _apply_balance(sc)
 
     tol = args.tol

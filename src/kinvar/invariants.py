@@ -19,10 +19,11 @@ from typing import Optional
 
 import numpy as np
 
+from ._kernels import rhs_packed
 from .errors import DegenerateExperimentError
 from .laplace import path_equilibrium_constant
 from .linear import build_rate_matrix, equilibrium_composition
-from .network import ReactionNetwork, mass_action_rhs
+from .network import ReactionNetwork, pack_network
 from .trajectory import DualExperiment, Trajectory
 
 KINDS = ("linear_ratio", "nonlinear_2A_B", "nonlinear_2A_2B", "path_product")
@@ -186,13 +187,14 @@ def ratio_limit_at_zero(dual: DualExperiment, spec: InvariantSpec) -> float:
     if net is None:
         raise ValueError("dual experiment carries no network reference")
     a, b = spec.pair
-    rate_b = mass_action_rhs(net, dual.from_a.concentrations[0])[b]
-    rate_a = mass_action_rhs(net, dual.from_b.concentrations[0])[a]
+    terms = pack_network(net)
+    rate_b = rhs_packed(dual.from_a.concentrations[0].tolist(), terms, net.n)[b]
+    rate_a = rhs_packed(dual.from_b.concentrations[0].tolist(), terms, net.n)[a]
     if rate_a == 0.0:
         raise ZeroDivisionError(
             "zero initial production rate in the denominator experiment"
         )
-    return float(rate_b / rate_a)
+    return rate_b / rate_a
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Exact Laplace-domain machinery for first-order networks.
 
-Everything in this module is computed in rational arithmetic: polynomials in
-the transform variable s carry `Fraction` coefficients, determinants are
-evaluated by fraction-free elimination, and transfer functions come out as
-uncancelled rational functions. Floating-point rate constants are taken at
-their exact binary values, so statements proved here are statements about the
-numbers actually stored, not about nearby reals.
+Everything in this module is exact: polynomials in the transform variable s
+carry `Fraction` coefficients, and transfer functions come out as uncancelled
+rational functions. The kernels scale the rates by their common denominator
+and run on Python integers: a determinant over Z[s] is one integer Bareiss
+elimination at s = 2**B (Kronecker substitution), and the spanning-forest
+weights are integer products, rescaled once at the end. Floating-point rate
+constants are taken at their exact binary values, so statements proved here
+are statements about the numbers actually stored, not about nearby reals.
 
 Two independent routes to the transfer function L[target <- source](s) are
 provided: resolvent cofactors of (sI - M), and the weighted spanning-forest
@@ -165,66 +167,31 @@ class RationalFunction:
 # fraction-free determinants
 # ---------------------------------------------------------------------------
 #
-# Bareiss elimination over Z[s]: every division in the recurrence is exact in
-# the ring, so integer coefficient lists stay integer and no rational gcd
-# normalization happens in the inner loop. Fraction-coefficient input is
-# scaled to integers first and the determinant rescaled at the end.
+# Determinants over Z[s] are taken as one integer determinant. Evaluation at
+# X = 2**B (Kronecker substitution) is a ring homomorphism Z[s] -> Z, so the
+# fraction-free Bareiss recurrence (akk*aij - aik*akj) // prev stays exact on
+# the evaluated entries. Every Bareiss intermediate is a minor, and the
+# product of the row l1 norms bounds the l1 norm of every minor; with X above
+# four times that bound a minor evaluates to 0 only when it is the zero
+# polynomial, so pivots and sign are those of the polynomial elimination, and
+# the balanced base-X digits of the result are its coefficients. Rational
+# input is scaled to integers first and the determinant rescaled at the end.
 
-def _ipoly_strip(p: list) -> list:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _kronecker_det(rows: list) -> list:
+    """Determinant of a square matrix of integer coefficient lists (ascending).
 
-def _ipoly_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-def _ipoly_sub(a: list, b: list) -> list:
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _ipoly_strip(out)
-
-def _ipoly_divexact(a: list, b: list) -> list:
-    """Exact quotient in Z[s]; raises if the division leaves a remainder."""
-    if not a:
-        return []
-    rem = list(a)
-    blead = b[-1]
-    bdeg = len(b) - 1
-    quot = [0] * (len(a) - bdeg)
-    while len(rem) - 1 >= bdeg:
-        lead = rem[-1]
-        if lead % blead != 0:
-            raise ArithmeticError("non-exact division in fraction-free elimination")
-        q = lead // blead
-        quot[len(rem) - 1 - bdeg] = q
-        shift = len(rem) - 1 - bdeg
-        for i, c in enumerate(b):
-            rem[shift + i] -= q * c
-        rem.pop()
-        _ipoly_strip(rem)
-        if not rem:
-            break
-    if rem:
-        raise ArithmeticError("non-exact division in fraction-free elimination")
-    return quot
-
-
-def _int_bareiss(rows: list) -> list:
-    """Determinant of a matrix of integer-coefficient polynomial lists."""
+    Returns the coefficient list of the determinant, without trailing zeros.
+    """
     n = len(rows)
     if n == 0:
         return [1]
-    a = [[list(p) for p in row] for row in rows]
+    bound = 1
+    for row in rows:
+        bound *= max(1, sum(abs(c) for p in row for c in p))
+    B = bound.bit_length() + 2
+    a = [[sum(c << (B * i) for i, c in enumerate(p)) for p in row] for row in rows]
     sign = 1
-    prev = [1]
+    prev = 1
     for k in range(n - 1):
         if not a[k][k]:
             for i in range(k + 1, n):
@@ -234,35 +201,44 @@ def _int_bareiss(rows: list) -> list:
                     break
             else:
                 return []
+        akk, ak = a[k][k], a[k]
         for i in range(k + 1, n):
+            ai = a[i]
+            aik = ai[k]
             for j in range(k + 1, n):
-                num = _ipoly_sub(_ipoly_mul(a[k][k], a[i][j]),
-                                 _ipoly_mul(a[i][k], a[k][j]))
-                a[i][j] = _ipoly_divexact(num, prev) if num else []
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return [sign * c for c in det]
+                ai[j] = (akk * ai[j] - aik * ak[j]) // prev
+        prev = akk
+    det = sign * a[n - 1][n - 1]
+    mask, half = (1 << B) - 1, 1 << (B - 1)
+    out = []
+    while det:
+        digit = det & mask
+        if digit >= half:
+            digit -= mask + 1
+        out.append(digit)
+        det = (det - digit) >> B
+    return out
+
+
+def _scaled_det(rows: list, scale: int) -> Polynomial:
+    """det(rows) / scale**len(rows) for a matrix of integer coefficient lists."""
+    den = scale ** len(rows)
+    return Polynomial([Fraction(c, den) for c in _kronecker_det(rows)])
 
 
 def poly_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Exact determinant of a square matrix of polynomials."""
     n = len(rows)
-    if n == 0:
-        return Polynomial([1])
-    dens = []
     for row in rows:
         if len(row) != n:
             raise ValueError("determinant needs a square matrix")
-        for p in row:
-            dens.extend(c.denominator for c in p.coeffs)
-    scale = reduce(math.lcm, dens, 1)
+    scale = reduce(math.lcm, (c.denominator for row in rows for p in row
+                              for c in p.coeffs), 1)
     int_rows = [
-        [[int(c * scale) for c in p.coeffs] for p in row]
+        [[c.numerator * (scale // c.denominator) for c in p.coeffs] for p in row]
         for row in rows
     ]
-    det = _int_bareiss(int_rows)
-    back = Fraction(1, scale) ** n
-    return Polynomial([c * back for c in det])
+    return _scaled_det(int_rows, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -291,29 +267,29 @@ def exact_entries(M) -> list:
     return rows
 
 
-def char_matrix(entries: ExactEntries) -> list:
-    """(sI - M) as a matrix of polynomials."""
-    n = len(entries)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            lin = [-entries[i][j], Fraction(1)] if i == j else [-entries[i][j]]
-            row.append(Polynomial(lin))
-        out.append(row)
-    return out
+def _char_rows(entries: ExactEntries) -> tuple:
+    """``(D, rows)``: the integer coefficient lists of ``D (sI - M)``.
+
+    ``D`` is the lcm of the entry denominators, so ``A = D M`` is integer; a
+    diagonal entry is ``[-A_ii, D]`` and an off-diagonal one ``[-A_ij]``.
+    """
+    D = reduce(math.lcm, (x.denominator for row in entries for x in row), 1)
+    rows = [[[-x.numerator * (D // x.denominator)] for x in row] for row in entries]
+    for i, row in enumerate(rows):
+        row[i].append(D)
+    return D, rows
 
 
 def characteristic_polynomial(M) -> Polynomial:
-    return poly_det(char_matrix(exact_entries(M)))
+    D, rows = _char_rows(exact_entries(M))
+    return _scaled_det(rows, D)
 
 
-def _minor(rows: list, drop_row: int, drop_col: int) -> list:
-    return [
-        [p for j, p in enumerate(row) if j != drop_col]
-        for i, row in enumerate(rows)
-        if i != drop_row
-    ]
+def _cofactor(D: int, rows: list, source: int, target: int) -> Polynomial:
+    minor = [[p for j, p in enumerate(row) if j != target]
+             for i, row in enumerate(rows) if i != source]
+    num = _scaled_det(minor, D)
+    return -num if (source + target) % 2 else num
 
 
 def cofactor_numerator(entries: ExactEntries, source: int, target: int) -> Polynomial:
@@ -323,11 +299,7 @@ def cofactor_numerator(entries: ExactEntries, source: int, target: int) -> Polyn
     (-1)^(source+target) det((sI - M) with row source and column target
     removed) over det(sI - M).
     """
-    x = char_matrix(entries)
-    num = poly_det(_minor(x, source, target))
-    if (source + target) % 2:
-        num = -num
-    return num
+    return _cofactor(*_char_rows(entries), source, target)
 
 
 def transfer_function_cofactor(M, source: int, target: int) -> RationalFunction:
@@ -336,9 +308,8 @@ def transfer_function_cofactor(M, source: int, target: int) -> RationalFunction:
     n = len(entries)
     if not (0 <= source < n and 0 <= target < n):
         raise IndexError("species index out of range")
-    den = poly_det(char_matrix(entries))
-    num = cofactor_numerator(entries, source, target)
-    return RationalFunction(num, den)
+    D, rows = _char_rows(entries)
+    return RationalFunction(_cofactor(D, rows, source, target), _scaled_det(rows, D))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +320,7 @@ def _out_neighbors(entries: ExactEntries) -> list:
     """adjacency[u] = sorted list of v with an edge u -> v (rate M[v][u] > 0)."""
     n = len(entries)
     return [
-        [v for v in range(n) if v != u and entries[v][u] > 0]
+        [v for v in range(n) if v != u and entries[v][u].numerator > 0]
         for u in range(n)
     ]
 
@@ -362,45 +333,51 @@ def _forest_sweep(entries: ExactEntries):
     nums[(source, target)] is the numerator of L[target <- source]
     (coefficient of s^(r-1) = total weight of r-rooted forests in which
     target is a root and source sits in target's tree).
+
+    The arc rates are scaled to integers by their common denominator D; an
+    r-rooted forest has n - r arcs, so its weight is rescaled by D**(n - r)
+    once, at the end.
     """
     n = len(entries)
     if n > _FOREST_LIMIT:
         raise ValueError(f"forest enumeration is limited to {_FOREST_LIMIT} species")
     adj = _out_neighbors(entries)
-    den = [Fraction(0)] * (n + 1)
-    nums = {(s, t): [Fraction(0)] * n for s in range(n) for t in range(n)}
-    parent = [None] * n
-
-    def root_of(v):
-        while parent[v] is not None:
-            v = parent[v]
-        return v
+    D = reduce(math.lcm, (entries[w][v].denominator for v in range(n) for w in adj[v]), 1)
+    arcs = [[(w, entries[w][v].numerator * (D // entries[w][v].denominator))
+             for w in adj[v]] for v in range(n)]
+    den = [0] * (n + 1)
+    nums = [[[0] * n for _ in range(n)] for _ in range(n)]
+    parent = [-1] * n
 
     def descend(v, weight, n_roots):
         if v == n:
             den[n_roots] += weight
             for x in range(n):
-                nums[(x, root_of(x))][n_roots - 1] += weight
+                root = x
+                while parent[root] != -1:
+                    root = parent[root]
+                nums[x][root][n_roots - 1] += weight
             return
         # v as a root of its own tree
         descend(v + 1, weight, n_roots + 1)
-        # v attached to one of its out-neighbors
-        for w in adj[v]:
+        # v attached to one of its out-neighbors, unless that closes a cycle
+        for w, k in arcs[v]:
             u = w
-            cyc = False
-            while u is not None:
-                if u == v:
-                    cyc = True
-                    break
+            while u != v and u != -1:
                 u = parent[u]
-            if cyc:
+            if u == v:
                 continue
             parent[v] = w
-            descend(v + 1, weight * entries[w][v], n_roots)
-            parent[v] = None
+            descend(v + 1, weight * k, n_roots)
+            parent[v] = -1
 
-    descend(0, Fraction(1), 0)
-    return Polynomial(den), {k: Polynomial(v) for k, v in nums.items()}
+    descend(0, 1, 0)
+    scale = [D ** (n - r) for r in range(n + 1)]
+    return (
+        Polynomial([Fraction(c, scale[r]) for r, c in enumerate(den)]),
+        {(s, t): Polynomial([Fraction(c, scale[r + 1]) for r, c in enumerate(nums[s][t])])
+         for s in range(n) for t in range(n)},
+    )
 
 
 def transfer_function_forest(M, source: int, target: int) -> RationalFunction:
@@ -430,7 +407,7 @@ def _rate_map(entries: ExactEntries) -> dict:
     return {
         (u, v): entries[v][u]
         for u in range(n) for v in range(n)
-        if u != v and entries[v][u] > 0
+        if u != v and entries[v][u].numerator > 0
     }
 
 

@@ -126,6 +126,24 @@ def test_invariants_balance_flag_restores_invariant(tmp_path):
     assert payload["reports"][0]["max_rel_deviation"] < 1e-8
 
 
+@pytest.mark.parametrize("pair", [["cis-2-butene", "trans-2-butene"],
+                                  ["1-butene", "cis-2-butene"]])
+def test_invariant_pair_must_be_the_experiment_pair(tmp_path, capsys, pair):
+    # the runs are primed from the experiment pair, so no other pair's ratio
+    # can be read from them
+    cfg = _butene_scenario(tmp_path)
+    scn = json.loads(cfg.read_text())
+    scn["invariants"][0]["pair"] = pair
+    cfg.write_text(json.dumps(scn))
+    rc = main(["invariants", "--config", str(cfg), "--out", str(tmp_path / "i"),
+               "--balance"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(pair) in err
+    assert "['cis-2-butene', '1-butene']" in err
+    assert not (tmp_path / "i").exists()
+
+
 def test_prove_verified_chain(tmp_path, capsys):
     net = first_order_network(
         ["A", "B", "C"], [("A", "B", 2.0, 1.0), ("B", "C", 3.0, 0.0)]

@@ -12,6 +12,7 @@ from kinvar import (
     evaluate_invariant,
     first_order_network,
     make_network,
+    mass_action_rhs,
     overshoot_scan,
     ratio_limit_at_zero,
     resolve_expected_K,
@@ -123,6 +124,19 @@ def test_ratio_limit_at_zero_rates():
     net, dual = _ab_dual(5.0, 2.0)
     spec = resolve_expected_K(net, "linear_ratio", 0, 1)
     assert ratio_limit_at_zero(dual, spec) == pytest.approx(2.5)
+
+
+def test_ratio_limit_at_zero_is_the_rhs_quotient(rng):
+    # the limit packs the network once; it must still be bit for bit the
+    # quotient of the two exported right-hand sides
+    for net in (balanced_integer_network(rng, 6)[0], butene_cycle()):
+        rxn = net.reactions[0]  # a directly connected pair
+        a, b = rxn.reactants[0][0], rxn.products[0][0]
+        dual = dual_experiment(net, a, b, _grid())
+        spec = resolve_expected_K(net, "linear_ratio", a, b)
+        rate_b = mass_action_rhs(net, dual.from_a.concentrations[0])[b]
+        rate_a = mass_action_rhs(net, dual.from_b.concentrations[0])[a]
+        assert ratio_limit_at_zero(dual, spec) == float(rate_b / rate_a)
 
 
 def test_ratio_limit_at_zero_needs_direct_feed():

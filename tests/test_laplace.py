@@ -62,6 +62,38 @@ def test_poly_det_singular_is_zero():
     assert poly_det(rows).is_zero
 
 
+def _laplace_det(rows):
+    """Reference determinant: cofactor expansion along the first row."""
+    if not rows:
+        return Polynomial([1])
+    total = Polynomial()
+    for j, p in enumerate(rows[0]):
+        if not p.is_zero:
+            term = p * _laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+            total = total - term if j % 2 else total + term
+    return total
+
+
+_big_fractions = st.builds(Fraction, st.integers(-10**30, 10**30),
+                           st.integers(1, 10**9) | st.just(1))
+_entries = st.just(Polynomial()) | st.lists(_big_fractions, min_size=1,
+                                            max_size=3).map(Polynomial)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    rows=st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n)),
+    zero_pivot=st.booleans(),
+)
+def test_poly_det_matches_laplace_expansion(rows, zero_pivot):
+    # degree <= 2 entries with coefficients near 10^30, and a zero top-left
+    # entry that forces a row swap: the integer evaluation must stay exact
+    if zero_pivot:
+        rows[0][0] = Polynomial()
+    assert poly_det(rows) == _laplace_det(rows)
+
+
 def test_characteristic_polynomial_two_species():
     net = first_order_network(["A", "B"], [("A", "B", 2.0, 1.0)])
     M = build_rate_matrix(net)
@@ -83,14 +115,22 @@ def test_forest_route_equals_cofactor_route(rng):
     for trial in range(15):
         n = int(rng.integers(2, 6))
         net, _ = balanced_integer_network(rng, n)
-        M = build_rate_matrix(net)
-        table = all_transfer_functions_forest(M)
-        for src in range(n):
-            for tgt in range(n):
-                direct = transfer_function_cofactor(M, src, tgt)
-                forest = table[(src, tgt)]
-                assert direct.numerator == forest.numerator
-                assert direct.denominator == forest.denominator
+        # integer rates, float rates with dyadic denominators, and the
+        # non-dyadic Fractions of an exactly rebalanced copy. The forest
+        # expansion reads only the rates, so the float copy gets its diagonal
+        # as the exact column sums rather than their rounded float values.
+        perturbed = exact_entries(build_rate_matrix(
+            perturbed_network(np.random.default_rng(trial), net)))
+        for j in range(n):
+            perturbed[j][j] = -sum(perturbed[i][j] for i in range(n) if i != j)
+        for M in (build_rate_matrix(net), perturbed, exact_balance(perturbed)):
+            table = all_transfer_functions_forest(M)
+            for src in range(n):
+                for tgt in range(n):
+                    direct = transfer_function_cofactor(M, src, tgt)
+                    forest = table[(src, tgt)]
+                    assert direct.numerator == forest.numerator
+                    assert direct.denominator == forest.denominator
 
 
 def test_forest_route_on_unbalanced_network():
