@@ -75,7 +75,7 @@ def rhs_packed(c, terms, n):
     return out
 
 
-def integrate_dp54(terms, c0, times, rtol, atol, max_step, dense):
+def integrate_dp54(terms, c0, times, rtol, atol):
     """Integrate from times[0] = 0 to times[-1], filling every grid row.
 
     Returns ``(status, t_fail, out, stats)``. Status 0 is success; 1 is
@@ -127,8 +127,6 @@ def integrate_dp54(terms, c0, times, rtol, atol, max_step, dense):
     else:
         h1 = (0.01 / dm) ** 0.2
     h = min(100.0 * h0, h1)
-    if h > max_step:
-        h = max_step
     if h > t_end:
         h = t_end
 
@@ -146,8 +144,6 @@ def integrate_dp54(terms, c0, times, rtol, atol, max_step, dense):
     while next_out < m:
         if t + h > t_end:
             h = t_end - t
-        if not dense and times[next_out] < t + h:
-            h = times[next_out] - t
         if h < 16.0 * _EPS * max(abs(t), 1e-8) or h <= 0.0:
             status = STATUS_STEP_UNDERFLOW
             break
@@ -235,8 +231,6 @@ def integrate_dp54(terms, c0, times, rtol, atol, max_step, dense):
         y = ynew
         k0 = k6  # first-same-as-last
         h *= factor
-        if h > max_step:
-            h = max_step
 
     rows.extend([float("nan")] * n for _ in range(m - len(rows)))
     return status, t, np.array(rows), (accepted, rejected, evals, h_min, h_max)

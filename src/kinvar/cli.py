@@ -67,7 +67,7 @@ from .network import (
     network_to_dict,
     save_network,
 )
-from .trajectory import DualExperiment, Trajectory, write_trajectory_csv
+from .trajectory import DualExperiment, Trajectory, geometric_grid, write_trajectory_csv
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -110,10 +110,12 @@ class GridSpec:
             raise ConfigError("grid needs at least 2 points")
 
     def times(self) -> np.ndarray:
+        """``{0}`` plus ``points`` times up to the named ``t_max``; geometric
+        spacing starts at ``1e-3 t_max`` (``linear.default_time_grid`` has no
+        horizon given and runs from ``1e-3 tau`` to ``10 tau``)."""
         if self.spacing == "linear":
             return np.linspace(0.0, self.t_max, self.points + 1)
-        inner = np.geomspace(self.t_max * 1e-3, self.t_max, self.points)
-        return np.concatenate(([0.0], inner))
+        return geometric_grid(self.t_max * 1e-3, self.t_max, self.points)
 
 
 @dataclass(frozen=True)
@@ -264,90 +266,52 @@ def _default_times(net: ReactionNetwork, points: int = 400) -> np.ndarray:
     return GridSpec(10.0 / min(rates), points, "geometric").times()
 
 
+# closed form of a lone reaction u (cu) <=> v (cv) on two species, by (cu, cv)
+_TWO_SPECIES_FORMS = {(1, 1): single_reversible, (2, 1): nonlinear_2A_B,
+                      (2, 2): nonlinear_2A_2B}
+
+
 def _closed_form_dual(net: ReactionNetwork, a: int, b: int,
                       times: np.ndarray) -> DualExperiment:
     """Dual experiment from an analytic solution, if one fits the network.
 
-    Supported shapes: a single reversible first-order conversion, the chain
-    A <-> B -> C, and the second-order systems 2A <-> B and 2A <-> 2B. The
-    experiment's first species must be the reactant side of the formulas.
+    The network must hold one reversible reaction ``u (cu) <=> v (cv)`` with
+    one species a side. On two species and no other reaction, ``(cu, cv)``
+    picks A <-> B, 2A <-> B or 2A <-> 2B from ``_TWO_SPECIES_FORMS``; on three
+    species joined by first-order steps, one more irreversible step
+    ``v -> w`` gives the chain A <-> B -> C. The experiment pair must be
+    ``(u, v)``, the reactant side of the formulas first.
     """
-    rxns = net.reactions
-
-    def build(cols_a, cols_b):
-        conc_a = np.column_stack([np.broadcast_to(c, times.shape) for c in cols_a])
-        conc_b = np.column_stack([np.broadcast_to(c, times.shape) for c in cols_b])
-        fa = Trajectory(times, conc_a, a, f"from {net.names[a]}", net)
-        fb = Trajectory(times, conc_b, b, f"from {net.names[b]}", net)
-        # every covered shape starts from one unit of conserved material
-        return DualExperiment(fa, fb, a, b, conserved_total=1.0)
-
-    if net.order_kind == ORDER_FIRST and net.n == 2 and len(rxns) == 1 \
-            and rxns[0].reversible:
-        u = rxns[0].reactants[0][0]
-        v = rxns[0].products[0][0]
-        if (a, b) != (u, v):
-            raise ConfigError(
-                "closed-form engine expects the experiment pair in the "
-                "reactant -> product orientation"
-            )
-        sol = single_reversible(rxns[0].k_forward, rxns[0].k_backward, times)
-        cols = {u: (sol.a_from_a, sol.a_from_b), v: (sol.b_from_a, sol.b_from_b)}
-        order = sorted(cols)
-        return build([cols[i][0] for i in order], [cols[i][1] for i in order])
-
-    if net.order_kind == ORDER_FIRST and net.n == 3 and len(rxns) == 2:
-        rev = [r for r in rxns if r.reversible]
-        irr = [r for r in rxns if not r.reversible]
-        if len(rev) == 1 and len(irr) == 1:
-            u = rev[0].reactants[0][0]
-            v = rev[0].products[0][0]
-            w = irr[0].products[0][0]
-            if irr[0].reactants[0][0] == v and w not in (u, v):
-                if (a, b) != (u, v):
-                    raise ConfigError(
-                        "closed-form engine expects the experiment pair in "
-                        "the reactant -> product orientation"
-                    )
-                sol = two_step_concentrations(
-                    rev[0].k_forward, rev[0].k_backward, irr[0].k_forward, times
-                )
-                cols = {
-                    u: (sol.a_from_a, sol.a_from_b),
-                    v: (sol.b_from_a, sol.b_from_b),
-                    w: (sol.c_from_a, sol.c_from_b),
-                }
-                order = sorted(cols)
-                return build([cols[i][0] for i in order],
-                             [cols[i][1] for i in order])
-
-    if net.n == 2 and len(rxns) == 1 and rxns[0].reversible:
-        reac = dict(rxns[0].reactants)
-        prod = dict(rxns[0].products)
-        if len(reac) == 1 and len(prod) == 1:
-            (u, cu), = reac.items()
-            (v, cv), = prod.items()
-            if (a, b) != (u, v):
-                raise ConfigError(
-                    "closed-form engine expects the experiment pair in the "
-                    "reactant -> product orientation"
-                )
-            if (cu, cv) == (2, 1):
-                sol = nonlinear_2A_B(rxns[0].k_forward, rxns[0].k_backward, times)
-                cols_a = {u: sol.a_from_a, v: sol.b_from_a}
-                cols_b = {u: sol.a_from_b, v: (1.0 - sol.a_from_b) / 2.0}
-                order = sorted(cols_a)
-                return build([cols_a[i] for i in order],
-                             [cols_b[i] for i in order])
-            if (cu, cv) == (2, 2):
-                sol = nonlinear_2A_2B(rxns[0].k_forward, rxns[0].k_backward, times)
-                cols_a = {u: sol.a_from_a, v: sol.b_from_a}
-                cols_b = {u: sol.a_from_b, v: sol.b_from_b}
-                order = sorted(cols_a)
-                return build([cols_a[i] for i in order],
-                             [cols_b[i] for i in order])
-
-    raise ConfigError("closed-form engine does not cover this network shape")
+    rev = [r for r in net.reactions if r.reversible]
+    irr = [r for r in net.reactions if not r.reversible]
+    cols = None
+    if len(rev) == 1 and len(rev[0].reactants) == len(rev[0].products) == 1:
+        (u, cu), = rev[0].reactants
+        (v, cv), = rev[0].products
+        kp, km = rev[0].k_forward, rev[0].k_backward
+        form = _TWO_SPECIES_FORMS.get((cu, cv))
+        if net.n == 2 and not irr and form is not None:
+            sol = form(kp, km, times)
+            # 2A <-> B primed with B keeps a + 2b = 1
+            b_from_b = ((1.0 - sol.a_from_b) / 2.0 if form is nonlinear_2A_B
+                        else sol.b_from_b)
+            cols = {u: (sol.a_from_a, sol.a_from_b), v: (sol.b_from_a, b_from_b)}
+        elif (net.n == 3 and net.order_kind == ORDER_FIRST and len(irr) == 1
+              and irr[0].reactants[0][0] == v and irr[0].products[0][0] not in (u, v)):
+            sol = two_step_concentrations(kp, km, irr[0].k_forward, times)
+            cols = {u: (sol.a_from_a, sol.a_from_b), v: (sol.b_from_a, sol.b_from_b),
+                    irr[0].products[0][0]: (sol.c_from_a, sol.c_from_b)}
+    if cols is None:
+        raise ConfigError("closed-form engine does not cover this network shape")
+    if (a, b) != (u, v):
+        raise ConfigError("closed-form engine expects the experiment pair in the "
+                          "reactant -> product orientation")
+    runs = [Trajectory(times, np.column_stack([np.broadcast_to(cols[i][k], times.shape)
+                                               for i in sorted(cols)]),
+                       s, f"from {net.names[s]}", net)
+            for k, s in enumerate((a, b))]
+    # every covered shape starts from one unit of conserved material
+    return DualExperiment(*runs, a, b, conserved_total=1.0)
 
 
 def _run_dual(net: ReactionNetwork, engine: str, a: int, b: int,
@@ -357,6 +321,27 @@ def _run_dual(net: ReactionNetwork, engine: str, a: int, b: int,
     if engine == "closed-form":
         return _closed_form_dual(net, a, b, times)
     return dual_experiment_nonlinear(net, a, b, exp.a0, exp.b0, times)
+
+
+def _run_scenario(sc: Scenario) -> tuple:
+    """Balance, pick the engine and the grid, and run the scenario's dual experiment.
+
+    Returns ``(network as run, engine, times, dual)``; the dual carries the
+    experiment pair's indices.
+    """
+    net = sc.network
+    if sc.balance == "enforce" and net.order_kind == ORDER_FIRST:
+        net = balance_network(net)
+    engine = _resolve_engine(sc.engine, net)
+    times = sc.grid.times() if sc.grid else _default_times(net)
+    a = net.index_of(sc.experiment.a)
+    b = net.index_of(sc.experiment.b)
+    return net, engine, times, _run_dual(net, engine, a, b, times, sc.experiment)
+
+
+def _cycle_report(net: ReactionNetwork):
+    """Cycle conditions of a first-order network; None for any other."""
+    return check_cycle_conditions(net) if net.order_kind == ORDER_FIRST else None
 
 
 def _safe_name(name: str) -> str:
@@ -372,21 +357,29 @@ def _write_json(path: Path, obj) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _prepare(args) -> tuple:
+def _load_config(args, load):
+    """``load(path)`` of the ``--config`` file, which every reading command needs."""
     if args.config is None:
         raise ConfigError("--config is required")
-    path = Path(args.config)
+    return load(Path(args.config))
+
+
+def _load_scenario(path: Path) -> Scenario:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: "
                           f"{exc.msg}") from None
-    sc = parse_scenario(data, path.parent)
+    return parse_scenario(data, path.parent)
+
+
+def _prepare(args) -> tuple:
+    sc = _load_config(args, _load_scenario)
     if args.grid is not None:
         sc = replace(sc, grid=_parse_grid_flag(args.grid))
-    if getattr(args, "engine", None):
+    if args.engine:
         sc = replace(sc, engine=args.engine)
-    if getattr(args, "balance", False):
+    if args.balance:
         sc = replace(sc, balance="enforce")
     return sc, Path(args.out)
 
@@ -398,28 +391,10 @@ def _parse_grid_flag(text: str) -> GridSpec:
     return GridSpec(float(parts[0]), int(parts[1]), parts[2])
 
 
-def _apply_balance(sc: Scenario) -> tuple:
-    """Apply the scenario's balance mode; returns (network, cycle report or None)."""
-    report = None
-    net = sc.network
-    if net.order_kind == ORDER_FIRST and sc.balance in ("check", "enforce"):
-        report = check_cycle_conditions(net)
-        if sc.balance == "enforce":
-            net = balance_network(net)
-    return net, report
-
-
 def cmd_simulate(args) -> int:
     sc, out_dir = _prepare(args)
-    if args.dump_config:
-        print(json.dumps(scenario_to_dict(sc), indent=2, sort_keys=True))
-        return EXIT_OK
-    net, cycle_report = _apply_balance(sc)
-    engine = _resolve_engine(sc.engine, net)
-    times = sc.grid.times() if sc.grid else _default_times(net)
-    a = net.index_of(sc.experiment.a)
-    b = net.index_of(sc.experiment.b)
-    dual = _run_dual(net, engine, a, b, times, sc.experiment)
+    cycle_report = _cycle_report(sc.network) if sc.balance != "off" else None
+    net, engine, times, dual = _run_scenario(sc)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     files = {}
@@ -445,15 +420,14 @@ def cmd_simulate(args) -> int:
         if sc.balance == "enforce":
             summary["cycle_max_mismatch_after"] = check_cycle_conditions(net).max_mismatch
     if args.oracle:
-        summary["oracle"] = _oracle_check(net, engine, a, b, times, sc.experiment,
-                                          dual)
+        summary["oracle"] = _oracle_check(net, engine, times, sc.experiment, dual)
     _write_json(out_dir / "summary.json", summary)
     print(f"wrote {', '.join(sorted(files.values()))} and summary.json "
           f"to {out_dir}")
     return EXIT_OK
 
 
-def _oracle_check(net, engine, a, b, times, exp, dual) -> dict:
+def _oracle_check(net, engine, times, exp, dual) -> dict:
     """Re-run the experiment on an independent engine and report the gap."""
     if engine in ("linear", "closed-form"):
         other = "nonlinear"
@@ -461,7 +435,7 @@ def _oracle_check(net, engine, a, b, times, exp, dual) -> dict:
         other = "linear"
     else:
         other = "closed-form"
-    ref = _run_dual(net, other, a, b, times, exp)
+    ref = _run_dual(net, other, dual.species_a, dual.species_b, times, exp)
     diff = max(
         float(np.max(np.abs(dual.from_a.concentrations - ref.from_a.concentrations))),
         float(np.max(np.abs(dual.from_b.concentrations - ref.from_b.concentrations))),
@@ -471,9 +445,6 @@ def _oracle_check(net, engine, a, b, times, exp, dual) -> dict:
 
 def cmd_invariants(args) -> int:
     sc, out_dir = _prepare(args)
-    if args.dump_config:
-        print(json.dumps(scenario_to_dict(sc), indent=2, sort_keys=True))
-        return EXIT_OK
     if not sc.invariants:
         raise ConfigError("scenario defines no invariants")
     # every kind reads its pair's species from the runs primed with the
@@ -483,25 +454,18 @@ def cmd_invariants(args) -> int:
         if tuple(req.pair) != primed:
             raise ConfigError(f"invariant pair {list(req.pair)} is not the "
                               f"experiment pair {list(primed)}")
-    net, _ = _apply_balance(sc)
 
     tol = args.tol
     if tol is None:
-        if net.order_kind == ORDER_FIRST and sc.balance != "enforce":
-            report = check_cycle_conditions(net)
-            if not report.satisfied:
-                raise ConfigError(
-                    f"cycle conditions violated (max mismatch "
-                    f"{report.max_mismatch:.3e}); pass --tol explicitly or "
-                    "use --balance"
-                )
+        report = _cycle_report(sc.network) if sc.balance != "enforce" else None
+        if report is not None and not report.satisfied:
+            raise ConfigError(
+                f"cycle conditions violated (max mismatch "
+                f"{report.max_mismatch:.3e}); pass --tol explicitly or "
+                "use --balance"
+            )
         tol = DEFAULT_TOL
-
-    engine = _resolve_engine(sc.engine, net)
-    times = sc.grid.times() if sc.grid else _default_times(net)
-    a = net.index_of(sc.experiment.a)
-    b = net.index_of(sc.experiment.b)
-    dual = _run_dual(net, engine, a, b, times, sc.experiment)
+    net, engine, _, dual = _run_scenario(sc)
 
     reports = []
     for req in sc.invariants:
@@ -528,9 +492,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_prove(args) -> int:
-    if args.config is None:
-        raise ConfigError("--config is required")
-    net = load_network(Path(args.config))
+    net = _load_config(args, load_network)
     if net.order_kind != ORDER_FIRST:
         raise ConfigError("proofs require an all-first-order network")
     if args.pair is None:
@@ -596,9 +558,7 @@ def cmd_fig1(args) -> int:
 
 
 def cmd_balance(args) -> int:
-    if args.config is None:
-        raise ConfigError("--config is required")
-    net = load_network(Path(args.config))
+    net = _load_config(args, load_network)
     before = check_cycle_conditions(net)
     balanced = balance_network(net)
     after = check_cycle_conditions(balanced)
@@ -635,14 +595,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, engine=True):
+    def common(p):
         p.add_argument("--config", help="scenario or network JSON file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--grid", help="override grid as tmax,points,spacing")
-        if engine:
-            p.add_argument("--engine",
-                           choices=["auto", "linear", "nonlinear", "closed-form"],
-                           help="override the scenario engine")
+        p.add_argument("--engine",
+                       choices=["auto", "linear", "nonlinear", "closed-form"],
+                       help="override the scenario engine")
 
     p_sim = sub.add_parser("simulate", help="write dual-experiment CSVs")
     common(p_sim)
@@ -695,6 +654,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "dump_config", False):
+            # simulate and invariants: print the resolved scenario and stop
+            print(json.dumps(scenario_to_dict(_prepare(args)[0]), indent=2,
+                             sort_keys=True))
+            return EXIT_OK
         return args.func(args)
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -24,20 +24,16 @@ _TOTAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and stepping limits for the embedded 5(4) pair."""
+    """Tolerances of the embedded 5(4) pair."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = np.inf
-    dense_output: bool = True
 
     def __post_init__(self):
         if not self.rel_tol >= 1e-14:
             raise ValueError("rel_tol must be at least 1e-14")
         if not self.abs_tol >= 1e-16:
             raise ValueError("abs_tol must be at least 1e-16")
-        if not self.max_step > 0:
-            raise ValueError("max_step must be positive")
 
 
 def integrate(
@@ -51,7 +47,7 @@ def integrate(
 
     The grid must be strictly increasing and start at 0; values are produced
     at exactly the requested times via the continuous extension of the
-    integrator (or by stepping onto the grid when dense output is off).
+    integrator.
     """
     if net.order_kind is None:
         net = validate_network(net)
@@ -66,9 +62,7 @@ def integrate(
         raise ValueError("initial concentrations must be nonnegative")
     check_grid(times)
     status, t_stop, values, counts = _kernels.integrate_dp54(
-        pack_network(net), c0, times,
-        cfg.rel_tol, cfg.abs_tol, float(cfg.max_step), cfg.dense_output,
-    )
+        pack_network(net), c0, times, cfg.rel_tol, cfg.abs_tol)
     stats = IntegratorStats(*counts)
     log.debug("integrate %s: %s", label or "run", stats)
     if status == _kernels.STATUS_STEP_UNDERFLOW:

@@ -12,9 +12,10 @@ are statements about the numbers actually stored, not about nearby reals.
 Two independent routes to the transfer function L[target <- source](s) are
 provided: resolvent cofactors of (sI - M), and the weighted spanning-forest
 expansion of the same cofactors. They must agree coefficient by coefficient,
-which the tests exploit as a cross-check. Fixed-proportion proofs try an
-exact detailed-balance certificate first and expand cofactors only when it
-fails.
+which the tests exploit as a cross-check; the forest route reads only the
+rates, so it refuses a matrix whose diagonal is not exactly minus its
+column's rates. Fixed-proportion proofs try an exact detailed-balance
+certificate first and expand cofactors only when it fails.
 """
 
 from __future__ import annotations
@@ -336,11 +337,18 @@ def _forest_sweep(entries: ExactEntries):
 
     The arc rates are scaled to integers by their common denominator D; an
     r-rooted forest has n - r arcs, so its weight is rescaled by D**(n - r)
-    once, at the end.
+    once, at the end. The expansion reads only the off-diagonal rates, so it
+    raises ``ValueError`` unless they are nonnegative and each diagonal entry
+    is exactly minus its column's rates.
     """
     n = len(entries)
     if n > _FOREST_LIMIT:
         raise ValueError(f"forest enumeration is limited to {_FOREST_LIMIT} species")
+    for v in range(n):
+        rates = [entries[w][v] for w in range(n) if w != v]
+        if min(rates, default=0) < 0 or entries[v][v] != -sum(rates):
+            raise ValueError(f"forest expansion needs a rate matrix: column {v} has a "
+                             "negative rate or a diagonal other than minus its rates")
     adj = _out_neighbors(entries)
     D = reduce(math.lcm, (entries[w][v].denominator for v in range(n) for w in adj[v]), 1)
     arcs = [[(w, entries[w][v].numerator * (D // entries[w][v].denominator))

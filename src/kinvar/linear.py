@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import MultipleEquilibriaError, NetworkValidationError
 from .network import ORDER_FIRST, ReactionNetwork, potentials, validate_network
-from .trajectory import DualExperiment, Trajectory, check_grid
+from .trajectory import DualExperiment, Trajectory, check_grid, geometric_grid
 
 log = logging.getLogger(__name__)
 
@@ -222,7 +222,10 @@ def default_time_grid(M: RateMatrix, points: int = 400) -> np.ndarray:
     """``{0}`` plus a geometric grid from ``1e-3 tau`` to ``10 tau``.
 
     ``tau`` is the slowest nonzero relaxation time ``1/|lambda_min|``; the
-    span resolves the fast transient and the approach to equilibrium.
+    span resolves the fast transient and the approach to equilibrium. A
+    scenario's geometric grid (``cli.GridSpec``) runs from ``1e-3 t_max`` to
+    the ``t_max`` it names instead; both start three decades below their
+    scale.
     """
     S, _, _ = _symmetric_form(M.entries)
     lam = np.linalg.eigvals(M.entries) if S is None else np.linalg.eigvalsh(S)
@@ -231,4 +234,4 @@ def default_time_grid(M: RateMatrix, points: int = 400) -> np.ndarray:
     if len(nonzero) == 0:
         raise ValueError("rate matrix has no nonzero eigenvalue")
     tau = 1.0 / nonzero.min()
-    return np.concatenate(([0.0], np.geomspace(1e-3 * tau, 10.0 * tau, points)))
+    return geometric_grid(1e-3 * tau, 10.0 * tau, points)

@@ -20,6 +20,11 @@ def check_grid(times: np.ndarray) -> None:
         raise ValueError("time grid must be strictly increasing")
 
 
+def geometric_grid(lo: float, hi: float, points: int) -> np.ndarray:
+    """``{0}`` plus ``points`` geometrically spaced times from ``lo`` to ``hi``."""
+    return np.concatenate(([0.0], np.geomspace(lo, hi, points)))
+
+
 @dataclass(frozen=True)
 class IntegratorStats:
     """Work done by the adaptive integrator for one trajectory.

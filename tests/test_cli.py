@@ -306,6 +306,50 @@ def test_closed_form_engine_rejects_odd_topology(tmp_path, capsys):
     assert rc == 2
 
 
+def _rxn(reactant, product, kf, kb):
+    return {"reactants": [reactant], "products": [product],
+            "k_forward": kf, "k_backward": kb}
+
+
+_CLOSED_FORM_SHAPES = {
+    "A<=>B": (["A", "B"], [_rxn(["A", 1], ["B", 1], 2.0, 1.0)]),
+    # the irreversible step listed first: the shape is read off the reactions
+    "A<=>B->C": (["A", "B", "C"], [_rxn(["B", 1], ["C", 1], 3.0, 0.0),
+                                   _rxn(["A", 1], ["B", 1], 2.0, 1.0)]),
+    "2A<=>B": (["A", "B"], [_rxn(["A", 2], ["B", 1], 3.0, 1.0)]),
+    "2A<=>2B": (["A", "B"], [_rxn(["A", 2], ["B", 2], 3.0, 1.0)]),
+}
+
+
+@pytest.mark.parametrize("shape", list(_CLOSED_FORM_SHAPES))
+def test_closed_form_engine_matches_oracle_on_every_shape(tmp_path, shape):
+    species, reactions = _CLOSED_FORM_SHAPES[shape]
+    cfg = _write_scenario(tmp_path, invariants=[],
+                          network={"species": species, "reactions": reactions})
+    out = tmp_path / "o"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out),
+               "--engine", "closed-form", "--oracle"])
+    assert rc == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["engine"] == "closed-form"
+    assert summary["conserved_total"] == 1.0
+    assert summary["oracle"]["max_abs_diff"] < 1e-8
+    header = (out / "from_A.csv").read_text().splitlines()[0]
+    assert header == "t," + ",".join(species)
+
+
+def test_closed_form_engine_rejects_reversed_pair(tmp_path, capsys):
+    species, reactions = _CLOSED_FORM_SHAPES["2A<=>B"]
+    cfg = _write_scenario(tmp_path, invariants=[], experiment={"a": "B", "b": "A"},
+                          network={"species": species, "reactions": reactions})
+    out = tmp_path / "o"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out),
+               "--engine", "closed-form"])
+    assert rc == 2
+    assert "reactant -> product orientation" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 from fractions import Fraction
 
@@ -19,12 +20,20 @@ from kinvar import (
     exact_balance,
     exact_cycle_violations,
     first_order_network,
+    make_network,
     path_equilibrium_constant,
     prove_fixed_proportion,
     transfer_function_cofactor,
     transfer_function_forest,
 )
-from kinvar.laplace import cofactor_numerator, exact_entries, poly_det
+from kinvar import linear
+from kinvar.laplace import (
+    _certificate_failure,
+    _rate_map,
+    cofactor_numerator,
+    exact_entries,
+    poly_det,
+)
 from kinvar.network import potentials
 
 
@@ -177,6 +186,20 @@ def test_forest_sum_reproduces_char_poly_coefficients():
     forest_sums = _p(0, 21 + 14 + 10, 7 + 8 + 2, 1)
     assert characteristic_polynomial(M) == forest_sums
     assert all_transfer_functions_forest(M)[(0, 2)].denominator == forest_sums
+
+
+def test_forest_route_refuses_what_it_cannot_expand():
+    # raw butene's float diagonals round their column sums; the second matrix
+    # has the right diagonal but a negative rate. The cofactors would expand
+    # both, the forests read only the rates and would disagree with them.
+    raw = build_rate_matrix(butene_cycle())
+    for M in (raw, [[-1, -1], [1, 1]]):
+        with pytest.raises(ValueError, match="negative rate or a diagonal"):
+            all_transfer_functions_forest(M)
+        with pytest.raises(ValueError, match="negative rate or a diagonal"):
+            transfer_function_forest(M, 0, 1)
+    # exactly balanced butene has exact column sums and expands as before
+    assert len(all_transfer_functions_forest(exact_balance(raw))) == 9
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +370,31 @@ def test_certificate_agrees_with_cofactors(seed, n, extra_edges, perturb):
             if balanced:
                 assert report.K == h[b] / h[a]
                 assert report.numerator_b_from_a == nums[(a, b)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    extra_edges=st.integers(0, 3),
+    variant=st.sampled_from(["balanced", "k_forward + 1", "k_backward = 0"]),
+    index=st.integers(0, 20),
+)
+def test_float_and_exact_paths_agree_on_balanced(seed, n, extra_edges, variant, index):
+    # the float propagator's symmetric form exists exactly when the exact
+    # detailed-balance certificate holds; raising a rate on an edge that
+    # closes no cycle keeps the network balanced, with new potentials
+    net, _ = balanced_integer_network(np.random.default_rng(seed), n, extra_edges)
+    reactions = list(net.reactions)
+    i = index % len(reactions)
+    if variant == "k_forward + 1":
+        reactions[i] = dataclasses.replace(reactions[i], k_forward=reactions[i].k_forward + 1)
+    elif variant == "k_backward = 0":
+        reactions[i] = dataclasses.replace(reactions[i], k_backward=0.0)
+    M = build_rate_matrix(make_network(list(net.names), reactions))
+    E = exact_entries(M)
+    float_balanced = linear._symmetric_form(M.entries)[0] is not None
+    assert float_balanced == (_certificate_failure(E, _rate_map(E)) is None)
 
 
 def test_path_equilibrium_constant_chain():
