@@ -48,6 +48,7 @@ from .integrate import (
 )
 from .invariants import (
     DEFAULT_TOL,
+    FIRST_ORDER_KINDS,
     InvariantSpec,
     evaluate_invariant,
     overshoot_scan,
@@ -192,6 +193,8 @@ def parse_scenario(data: dict, base_dir: Path = Path(".")) -> Scenario:
     grid = None
     if data.get("grid") is not None:
         g = data["grid"]
+        if not isinstance(g, dict):
+            raise ConfigError("grid must be an object")
         _require_keys(g, {"t_max", "points", "spacing"}, "grid")
         try:
             grid = GridSpec(float(g["t_max"]), int(g["points"]),
@@ -200,8 +203,17 @@ def parse_scenario(data: dict, base_dir: Path = Path(".")) -> Scenario:
             raise ConfigError(f"grid is missing {exc}") from None
 
     requests = []
-    for item in data.get("invariants", []):
+    items = data.get("invariants", [])
+    if not isinstance(items, list):
+        raise ConfigError("invariants must be a list")
+    for item in items:
+        if not isinstance(item, dict):
+            raise ConfigError("each invariant must be an object")
         _require_keys(item, {"kind", "pair", "expected_K"}, "invariant")
+        kind = str(item.get("kind"))
+        if kind in FIRST_ORDER_KINDS and net.order_kind != ORDER_FIRST:
+            raise ConfigError(f"invariant kind {kind!r} needs an {ORDER_FIRST} "
+                              f"network, not a {net.order_kind} one")
         pair = item.get("pair")
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
                 or any(p not in net.names for p in pair)):
@@ -209,7 +221,7 @@ def parse_scenario(data: dict, base_dir: Path = Path(".")) -> Scenario:
                               "species")
         K = item.get("expected_K")
         requests.append(InvariantRequest(
-            str(item.get("kind")), (pair[0], pair[1]),
+            kind, (pair[0], pair[1]),
             None if K is None else float(K),
         ))
 
@@ -395,6 +407,8 @@ def cmd_simulate(args) -> int:
     sc, out_dir = _prepare(args)
     cycle_report = _cycle_report(sc.network) if sc.balance != "off" else None
     net, engine, times, dual = _run_scenario(sc)
+    # the reference run may refuse the network, so it runs before any file is written
+    oracle = _oracle_check(net, engine, times, sc.experiment, dual) if args.oracle else None
 
     out_dir.mkdir(parents=True, exist_ok=True)
     files = {}
@@ -419,8 +433,8 @@ def cmd_simulate(args) -> int:
         summary["balance"] = sc.balance
         if sc.balance == "enforce":
             summary["cycle_max_mismatch_after"] = check_cycle_conditions(net).max_mismatch
-    if args.oracle:
-        summary["oracle"] = _oracle_check(net, engine, times, sc.experiment, dual)
+    if oracle is not None:
+        summary["oracle"] = oracle
     _write_json(out_dir / "summary.json", summary)
     print(f"wrote {', '.join(sorted(files.values()))} and summary.json "
           f"to {out_dir}")

@@ -27,6 +27,7 @@ from .network import ReactionNetwork, pack_network
 from .trajectory import DualExperiment, Trajectory
 
 KINDS = ("linear_ratio", "nonlinear_2A_B", "nonlinear_2A_2B", "path_product")
+FIRST_ORDER_KINDS = ("linear_ratio", "path_product")
 PROVENANCES = ("from-rates", "from-path-product", "user-supplied")
 
 DENOM_FLOOR = 1e-12
@@ -64,7 +65,7 @@ def resolve_expected_K(net: ReactionNetwork, kind: str, a: int, b: int) -> Invar
     the shortest path's product is the one used (for a directly connected
     pair that is just its own rate ratio).
     """
-    if kind in ("linear_ratio", "path_product"):
+    if kind in FIRST_ORDER_KINDS:
         K = float(path_equilibrium_constant(net, a, b))
         return InvariantSpec(kind, (a, b), K, "from-path-product")
     product_coeff = 1 if kind == "nonlinear_2A_B" else 2
@@ -136,7 +137,7 @@ def evaluate_invariant(
     a_b = dual.from_b.species(a)
     b_b = dual.from_b.species(b)
 
-    if spec.kind in ("linear_ratio", "path_product"):
+    if spec.kind in FIRST_ORDER_KINDS:
         num, den = b_a, a_b
     elif spec.kind == "nonlinear_2A_B":
         num, den = b_a, a_a * a_b
@@ -155,7 +156,7 @@ def evaluate_invariant(
     max_dev = float(np.max(np.abs(ratios / spec.expected_K - 1.0)))
 
     limit = None
-    if spec.kind in ("linear_ratio", "path_product") and dual.network is not None:
+    if spec.kind in FIRST_ORDER_KINDS and dual.network is not None:
         try:
             limit = ratio_limit_at_zero(dual, spec)
         except (ValueError, ZeroDivisionError):
@@ -181,7 +182,7 @@ def ratio_limit_at_zero(dual: DualExperiment, spec: InvariantSpec) -> float:
     production rate of b in the a-primed run over the production rate of a in
     the b-primed run, both straight from the mass-action right-hand side.
     """
-    if spec.kind not in ("linear_ratio", "path_product"):
+    if spec.kind not in FIRST_ORDER_KINDS:
         raise ValueError("the t->0 limit applies to first-order ratio kinds")
     net = dual.network
     if net is None:

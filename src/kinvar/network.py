@@ -11,14 +11,17 @@ conservation vectors of the stoichiometry.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import rhs_packed
 from .errors import BalanceError, ConfigError, ConservationError, NetworkValidationError
+
+log = logging.getLogger(__name__)
 
 ORDER_FIRST = "all-first-order"
 ORDER_GENERAL = "general-mass-action"
@@ -229,19 +232,6 @@ def _packed_term(k, sources, sinks) -> tuple:
     for j, nu in sinks:
         changes.append((j, float(nu)))
     return float(k), tuple(factors), tuple(changes)
-
-
-def mass_action_rhs(net: ReactionNetwork, c: np.ndarray) -> np.ndarray:
-    """Time derivative of concentrations under the mass-action law.
-
-    Evaluates the integrator's own right-hand side on the packed network:
-    each reaction direction contributes ``k * prod(c_i^nu_i)``, removed from
-    its reactants and added to its products with stoichiometric multiplicity.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.shape != (net.n,):
-        raise ValueError(f"concentration vector has shape {c.shape}, expected ({net.n},)")
-    return np.array(rhs_packed(c.tolist(), pack_network(net), net.n))
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +489,61 @@ def stoichiometric_matrix(net: ReactionNetwork) -> np.ndarray:
 def conservation_vector(net: ReactionNetwork) -> np.ndarray:
     """Strictly positive weights ``w`` with ``w . C(t)`` constant on trajectories.
 
-    Solves a small linear program for a positive left null vector of the
-    stoichiometric matrix, normalized so the smallest weight is 1.  Raises
-    :class:`ConservationError` when none exists.
+    Of all such weights with ``w >= 1`` it returns the ones of least sum, so
+    each connected component of the network has smallest weight 1.  When
+    every reaction has one species a side they come exactly from the
+    coefficient tree (:func:`_coefficient_tree_weights`); any other network
+    solves the linear program of :func:`_lp_conservation_vector`.  Raises
+    :class:`ConservationError` when no positive weights exist.
     """
+    w = _coefficient_tree_weights(net)
+    if w is None:
+        log.debug("conservation weights: linear program (a reaction has several "
+                  "species on one side, or one pair has two coefficient sets)")
+        return _lp_conservation_vector(net)
+    log.debug("conservation weights: coefficient tree")
+    return np.array(w)
+
+
+def _coefficient_tree_weights(net: ReactionNetwork) -> list[float] | None:
+    """Least conservation weights of a network of reactions ``u (cu) <=> v (cv)``.
+
+    Each reaction forces ``w_u cu = w_v cv``, so the map ``{(u, v): cu,
+    (v, u): cv}`` is a rate map whose :func:`potentials` are the weights up
+    to one factor per connected component, provided the :func:`path_products`
+    around every basis cycle agree.  Each component is scaled to smallest
+    weight 1, in exact arithmetic.  Returns None when a reaction has several
+    species on one side or one pair of species carries two coefficient sets.
+    """
+    coeffs: dict[tuple[int, int], int] = {}
+    for rxn in net.reactions:
+        if len(rxn.reactants) != 1 or len(rxn.products) != 1:
+            return None
+        (u, cu), = rxn.reactants
+        (v, cv), = rxn.products
+        if coeffs.setdefault((u, v), cu) != cu or coeffs.setdefault((v, u), cv) != cv:
+            return None
+    forest = spanning_forest(net.n, coeffs)
+    for cycle in forest.cycles():
+        along, against = path_products(coeffs, cycle)
+        if along != against:
+            walk = " -> ".join(net.names[i] for i in cycle)
+            raise ConservationError(
+                f"no positive conservation vector found: the coefficients around "
+                f"{walk} multiply to {along} one way and {against} the other")
+    h = potentials(net.n, {pair: Fraction(c) for pair, c in coeffs.items()})
+    root = {}
+    for v in forest.order:
+        p = forest.parent[v]
+        root[v] = v if p is None else root[p]
+    low = {}
+    for v, r in root.items():
+        low[r] = min(low.get(r, h[v]), h[v])
+    return [float(h[v] / low[root[v]]) for v in range(net.n)]
+
+
+def _lp_conservation_vector(net: ReactionNetwork) -> np.ndarray:
+    """Conservation weights of least sum subject to ``w >= 1``, by a linear program."""
     from scipy.optimize import linprog
 
     N = stoichiometric_matrix(net)
@@ -534,12 +575,14 @@ def network_from_dict(data: dict) -> ReactionNetwork:
     if unknown:
         raise ConfigError(f"unknown network fields: {sorted(unknown)}")
     try:
-        names = list(data["species"])
+        names = data["species"]
         raw_rxns = data["reactions"]
     except KeyError as exc:
         raise ConfigError(f"network definition missing field {exc}") from None
-    if not all(isinstance(nm, str) for nm in names):
+    if not (isinstance(names, list) and all(isinstance(nm, str) for nm in names)):
         raise ConfigError("species must be a list of names")
+    if not isinstance(raw_rxns, list):
+        raise ConfigError("reactions must be a list")
     index = {nm: i for i, nm in enumerate(names)}
 
     def side(entries, what: str) -> tuple[tuple[int, int], ...]:

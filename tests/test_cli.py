@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +253,28 @@ def test_simulate_balance_reports_mismatch_before_and_after(tmp_path, capsys):
 @pytest.mark.parametrize(
     "mutation, message_part",
     [
+        ({"grid": [1, 2]}, "grid must be an object"),
+        ({"invariants": {"kind": "linear_ratio", "pair": ["A", "B"]}},
+         "invariants must be a list"),
+        ({"invariants": ["linear_ratio"]}, "each invariant must be an object"),
+        ({"network": {"species": "AB", "reactions": []}},
+         "species must be a list of names"),
+        ({"network": {"species": ["A", "B"], "reactions": 3}},
+         "reactions must be a list"),
+    ],
+)
+def test_malformed_scenario_types_exit_2(tmp_path, capsys, mutation, message_part):
+    cfg = _write_scenario(tmp_path, **mutation)
+    for command in ("simulate", "invariants"):
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert message_part in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "mutation, message_part",
+    [
         ({"extra_field": 1}, "unknown"),
         ({"experiment": {"a": "A", "b": "A"}}, "distinct"),
         ({"experiment": {"a": "A", "b": "X"}}, "not in"),
@@ -372,3 +398,51 @@ def test_mismatched_explicit_amounts_exit_2_before_simulation(tmp_path, capsys):
     # w = (1, 2): one unit of A carries 1, one unit of B carries 2
     assert "w.c = 1 from 'A' but 2 from 'B'" in err
     assert not out.exists()
+
+
+_A_2B = {"species": ["A", "B"], "reactions": [_rxn(["A", 1], ["B", 2], 3.0, 1.0)]}
+
+
+def test_oracle_refuses_an_uncovered_shape_before_writing(tmp_path, capsys):
+    # no closed form covers A <=> 2B, so the reference run fails; it must
+    # fail before either trajectory is written
+    cfg = _write_scenario(tmp_path, invariants=[], network=_A_2B)
+    out = tmp_path / "o"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out), "--oracle"])
+    assert rc == 2
+    assert "does not cover this network shape" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["linear_ratio", "path_product"])
+def test_first_order_kind_on_second_order_network_exits_2(tmp_path, capsys, kind):
+    cfg = _write_scenario(tmp_path, network=_A_2B,
+                          invariants=[{"kind": kind, "pair": ["A", "B"]}])
+    rc = main(["invariants", "--config", str(cfg), "--out", str(tmp_path / "i"),
+               "--tol", "1e-3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"invariant kind {kind!r} needs an all-first-order network, " \
+           "not a general-mass-action one" in err
+    assert not (tmp_path / "i").exists()
+
+
+def test_mass_action_simulate_never_imports_scipy_optimize(tmp_path):
+    # conservation weights of 2A <=> B come from the coefficient tree, so the
+    # linear program's import stays out of the process
+    species, reactions = _CLOSED_FORM_SHAPES["2A<=>B"]
+    cfg = _write_scenario(tmp_path, invariants=[],
+                          network={"species": species, "reactions": reactions})
+    script = ("import sys\n"
+              "from kinvar.cli import main\n"
+              "rc = main(sys.argv[1:])\n"
+              "print('scipy.optimize' in sys.modules)\n"
+              "sys.exit(rc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "simulate", "--config", str(cfg),
+         "--out", str(tmp_path / "o"), "--oracle"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -1,3 +1,4 @@
+import logging
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from conftest import balanced_integer_network, perturbed_network
 
 from kinvar import (
     ConfigError,
+    ConservationError,
     NetworkValidationError,
     Reaction,
     ReactionNetwork,
@@ -20,13 +22,19 @@ from kinvar import (
     first_order_network,
     load_network,
     make_network,
-    mass_action_rhs,
     prove_fixed_proportion,
     save_network,
     stoichiometric_matrix,
     validate_network,
 )
-from kinvar.network import merged_rates, network_from_dict, potentials
+from kinvar._kernels import rhs_packed
+from kinvar.network import (
+    _lp_conservation_vector,
+    merged_rates,
+    network_from_dict,
+    pack_network,
+    potentials,
+)
 
 
 def test_first_order_network_sets_order_kind():
@@ -82,15 +90,16 @@ def test_validation_rejects_shuffled_species_indices():
 
 def test_mass_action_rhs_first_order():
     net = first_order_network(["A", "B"], [("A", "B", 2.0, 1.0)])
-    np.testing.assert_allclose(mass_action_rhs(net, np.array([1.0, 0.0])), [-2.0, 2.0])
-    np.testing.assert_allclose(mass_action_rhs(net, np.array([0.0, 1.0])), [1.0, -1.0])
+    terms = pack_network(net)
+    np.testing.assert_allclose(rhs_packed([1.0, 0.0], terms, net.n), [-2.0, 2.0])
+    np.testing.assert_allclose(rhs_packed([0.0, 1.0], terms, net.n), [1.0, -1.0])
 
 
 def test_mass_action_rhs_second_order():
     # 2A <-> B with kf=3, kb=5 at c=(2, 7): forward rate 12, backward 35
     net = make_network(["A", "B"], [Reaction(((0, 2),), ((1, 1),), 3.0, 5.0)])
     np.testing.assert_allclose(
-        mass_action_rhs(net, np.array([2.0, 7.0])), [-24.0 + 70.0, 12.0 - 35.0]
+        rhs_packed([2.0, 7.0], pack_network(net), net.n), [-24.0 + 70.0, 12.0 - 35.0]
     )
 
 
@@ -111,6 +120,71 @@ def test_conservation_vector_first_order_is_uniform():
 def test_conservation_vector_counts_atoms():
     net = make_network(["A", "B"], [Reaction(((0, 2),), ((1, 1),), 3.0, 1.0)])
     np.testing.assert_allclose(conservation_vector(net), [1.0, 2.0])
+
+
+def _one_a_side(names, steps):
+    """Network of reactions ``(u, cu, v, cv, k_backward)`` named by species."""
+    index = {nm: i for i, nm in enumerate(names)}
+    return make_network(names, [Reaction(((index[u], cu),), ((index[v], cv),), 1.0, kb)
+                                for u, cu, v, cv, kb in steps])
+
+
+def _tree_route_cases(rng):
+    cases = {
+        # o S_i <=> S_{i+1} with o = 2 on every third step: weights up to 2**13
+        "chain": _one_a_side([f"S{i}" for i in range(40)],
+                             [(f"S{i}", 2 if i % 3 == 0 else 1, f"S{i + 1}", 1, 1.0)
+                              for i in range(39)]),
+        "2A<=>B": _one_a_side(["A", "B"], [("A", 2, "B", 1, 1.0)]),
+        "2A<=>2B": _one_a_side(["A", "B"], [("A", 2, "B", 2, 1.0)]),
+        "stiff": _one_a_side(["A", "B", "C"], [("A", 2, "B", 1, 1.0), ("B", 1, "C", 1, 1.0)]),
+        "butene": butene_cycle(),
+        # two components; in the first the smallest weight is not the root's
+        "A<=>2B, 3C->D": _one_a_side(list("ABCD"), [("A", 1, "B", 2, 1.0),
+                                                  ("C", 3, "D", 1, 0.0)]),
+    }
+    for k in range(8):
+        net, _ = balanced_integer_network(rng, int(rng.integers(2, 12)),
+                                          extra_edges=int(rng.integers(0, 4)))
+        cases[f"random-{k}"] = perturbed_network(rng, net) if k % 2 else net
+    return cases
+
+
+def test_conservation_tree_route_is_bit_equal_to_the_lp(rng, caplog):
+    for name, net in _tree_route_cases(rng).items():
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="kinvar.network"):
+            w = conservation_vector(net)
+        assert [r.getMessage() for r in caplog.records] == [
+            "conservation weights: coefficient tree"], name
+        assert w.tolist() == _lp_conservation_vector(net).tolist(), name
+
+
+def test_conservation_tree_route_rejects_an_inconsistent_cycle():
+    # A <=> 2B forces w_A = 2 w_B, while B <=> C <=> A forces w_A = w_B
+    net = _one_a_side(list("ABC"), [("A", 1, "B", 2, 1.0), ("B", 1, "C", 1, 1.0),
+                                    ("C", 1, "A", 1, 1.0)])
+    with pytest.raises(ConservationError, match="around B -> C -> A -> B"):
+        conservation_vector(net)
+    with pytest.raises(ConservationError):
+        _lp_conservation_vector(net)
+
+
+@pytest.mark.parametrize("reactions, expected", [
+    # A <=> B and 2A <=> 2B give one pair two coefficient sets
+    ([Reaction(((0, 1),), ((1, 1),), 1.0, 1.0), Reaction(((0, 2),), ((1, 2),), 1.0, 1.0)],
+     [1.0, 1.0, 1.0]),
+    # A + B <=> C has two species on one side
+    ([Reaction(((0, 1), (1, 1)), ((2, 1),), 1.0, 1.0)], [1.0, 1.0, 2.0]),
+])
+def test_conservation_vector_falls_back_to_the_lp(caplog, reactions, expected):
+    net = make_network(["A", "B", "C"], reactions)
+    with caplog.at_level(logging.DEBUG, logger="kinvar.network"):
+        w = conservation_vector(net)
+    assert [r.getMessage() for r in caplog.records] == [
+        "conservation weights: linear program (a reaction has several species on "
+        "one side, or one pair has two coefficient sets)"]
+    np.testing.assert_allclose(w, expected)
 
 
 def test_butene_cycle_condition_mismatch():
