@@ -114,6 +114,10 @@ def integrate_dp54(terms, c0, times, rtol, atol):
         h0 = 0.01 * d0 / d1
     if h0 > t_end:
         h0 = t_end
+    if not h0 > 0.0:
+        # an overflowing rate leaves no usable starting step
+        rows.extend([float("nan")] * n for _ in range(m - 1))
+        return STATUS_STEP_UNDERFLOW, 0.0, np.array(rows), (0, 0, evals, h_min, h_max)
     f1 = rhs_packed([yi + h0 * fi for yi, fi in zip(y, f0)], terms, n)
     evals += 1
     d2 = 0.0

@@ -62,6 +62,7 @@ from .network import (
     balance_network,
     butene_cycle,
     check_cycle_conditions,
+    config_number,
     conservation_vector,
     load_network,
     network_from_dict,
@@ -163,8 +164,10 @@ def parse_scenario(data: dict, base_dir: Path = Path(".")) -> Scenario:
         raise ConfigError("give exactly one of 'network' or 'network_file'")
     if "network" in data:
         net = network_from_dict(data["network"])
-    else:
+    elif isinstance(data["network_file"], str):
         net = load_network(base_dir / data["network_file"])
+    else:
+        raise ConfigError("network_file must be a path string")
 
     exp = data.get("experiment")
     if not isinstance(exp, dict):
@@ -176,11 +179,9 @@ def parse_scenario(data: dict, base_dir: Path = Path(".")) -> Scenario:
                               "the network")
     if exp["a"] == exp["b"]:
         raise ConfigError("experiment species must be distinct")
-    experiment = ExperimentSpec(
-        exp["a"], exp["b"],
-        None if exp.get("a0") is None else float(exp["a0"]),
-        None if exp.get("b0") is None else float(exp["b0"]),
-    )
+    a0, b0 = (None if exp.get(key) is None else config_number(exp[key], f"experiment {key}")
+              for key in ("a0", "b0"))
+    experiment = ExperimentSpec(exp["a"], exp["b"], a0, b0)
     if experiment.a0 is not None or experiment.b0 is not None:
         # mismatched amounts are a scenario error, caught before any run
         w = conservation_vector(net)
@@ -197,7 +198,8 @@ def parse_scenario(data: dict, base_dir: Path = Path(".")) -> Scenario:
             raise ConfigError("grid must be an object")
         _require_keys(g, {"t_max", "points", "spacing"}, "grid")
         try:
-            grid = GridSpec(float(g["t_max"]), int(g["points"]),
+            grid = GridSpec(config_number(g["t_max"], "grid t_max"),
+                            config_number(g["points"], "grid points", int),
                             str(g.get("spacing", "geometric")))
         except KeyError as exc:
             raise ConfigError(f"grid is missing {exc}") from None
@@ -222,7 +224,7 @@ def parse_scenario(data: dict, base_dir: Path = Path(".")) -> Scenario:
         K = item.get("expected_K")
         requests.append(InvariantRequest(
             kind, (pair[0], pair[1]),
-            None if K is None else float(K),
+            None if K is None else config_number(K, "invariant expected_K"),
         ))
 
     engine = data.get("engine", "auto")

@@ -1,8 +1,7 @@
 """Analytic dual-experiment solutions for the small benchmark systems.
 
 These are the hand-derived formulas the numerical engines are tested against:
-the single reversible conversion A <-> B, the chain A <-> B -> C, the
-Laplace-domain transforms of the reversible three-cycle, and the two
+the single reversible conversion A <-> B, the chain A <-> B -> C, and the two
 second-order systems 2A <-> B and 2A <-> 2B. Every function is vectorized
 over t and returns a named tuple whose fields follow the x_from_y reading
 (concentration of x in the experiment primed with pure y).
@@ -13,11 +12,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
-
-from .laplace import Polynomial, RationalFunction
 
 # beyond this tanh argument the formulas are replaced by their t -> inf
 # algebraic limits; tanh is 1 to machine precision long before 20 anyway
@@ -29,10 +25,6 @@ SingleReversible = namedtuple(
 TwoStepConcentrations = namedtuple(
     "TwoStepConcentrations",
     ["a_from_a", "b_from_a", "c_from_a", "a_from_b", "b_from_b", "c_from_b"],
-)
-ThreeCycleLaplace = namedtuple(
-    "ThreeCycleLaplace",
-    ["sigma1", "sigma2", "delta", "L_a_from_a", "L_b_from_a", "L_a_from_b"],
 )
 Nonlinear2AB = namedtuple("Nonlinear2AB", ["a_from_a", "b_from_a", "a_from_b"])
 Nonlinear2A2B = namedtuple(
@@ -104,39 +96,6 @@ def two_step_concentrations(
         a_from_b=km1 * (e2 - e1) / gap,
         b_from_b=(l2 * (l1 - kp2) * e2 + l1 * (kp2 - l2) * e1) / (kp2 * gap),
         c_from_b=1.0 - ((l1 - kp2) * e2 + (kp2 - l2) * e1) / gap,
-    )
-
-
-def three_cycle_laplace(kp1, km1, kp2, km2, kp3, km3) -> ThreeCycleLaplace:
-    """Exact Laplace transforms for the reversible cycle A <-> B <-> C <-> A.
-
-    Rates are taken at their exact rational values (floats by exact binary
-    expansion), so the returned polynomials can be compared coefficient by
-    coefficient against the resolvent-cofactor route.
-    """
-    _check_rates(kp1, km1, kp2, km2, kp3, km3)
-    kp1, km1, kp2, km2, kp3, km3 = (
-        Fraction(k) for k in (kp1, km1, kp2, km2, kp3, km3)
-    )
-    sigma1 = kp1 + km1 + kp2 + km2 + kp3 + km3
-    sigma2 = (
-        kp1 * kp2 + kp2 * kp3 + kp3 * kp1
-        + kp1 * km2 + kp2 * km3 + kp3 * km1
-        + km1 * km3 + km2 * km1 + km3 * km2
-    )
-    delta = Polynomial([0, sigma2, sigma1, 1])
-    num_aa = Polynomial(
-        [km1 * kp3 + km1 * km2 + kp2 * kp3, km1 + kp3 + kp2 + km2, 1]
-    )
-    num_ba = Polynomial([kp1 * kp3 + kp1 * km2 + km2 * km3, kp1])
-    num_ab = Polynomial([km1 * kp3 + km1 * km2 + kp2 * kp3, km1])
-    return ThreeCycleLaplace(
-        sigma1=sigma1,
-        sigma2=sigma2,
-        delta=delta,
-        L_a_from_a=RationalFunction(num_aa, delta),
-        L_b_from_a=RationalFunction(num_ba, delta),
-        L_a_from_b=RationalFunction(num_ab, delta),
     )
 
 

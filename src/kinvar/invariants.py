@@ -19,11 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import rhs_packed
 from .errors import DegenerateExperimentError
 from .laplace import path_equilibrium_constant
 from .linear import build_rate_matrix, equilibrium_composition
-from .network import ReactionNetwork, pack_network
+from .network import ReactionNetwork
 from .trajectory import DualExperiment, Trajectory
 
 KINDS = ("linear_ratio", "nonlinear_2A_B", "nonlinear_2A_2B", "path_product")
@@ -180,7 +179,7 @@ def ratio_limit_at_zero(dual: DualExperiment, spec: InvariantSpec) -> float:
 
     At t = 0 the ratio itself is 0/0; one l'Hopital step replaces it with the
     production rate of b in the a-primed run over the production rate of a in
-    the b-primed run, both straight from the mass-action right-hand side.
+    the b-primed run, both from the initial concentrations.
     """
     if spec.kind not in FIRST_ORDER_KINDS:
         raise ValueError("the t->0 limit applies to first-order ratio kinds")
@@ -188,14 +187,35 @@ def ratio_limit_at_zero(dual: DualExperiment, spec: InvariantSpec) -> float:
     if net is None:
         raise ValueError("dual experiment carries no network reference")
     a, b = spec.pair
-    terms = pack_network(net)
-    rate_b = rhs_packed(dual.from_a.concentrations[0].tolist(), terms, net.n)[b]
-    rate_a = rhs_packed(dual.from_b.concentrations[0].tolist(), terms, net.n)[a]
+    rate_b = _initial_rate(net, dual.from_a.concentrations[0].tolist(), b)
+    rate_a = _initial_rate(net, dual.from_b.concentrations[0].tolist(), a)
     if rate_a == 0.0:
         raise ZeroDivisionError(
             "zero initial production rate in the denominator experiment"
         )
     return rate_b / rate_a
+
+
+def _initial_rate(net: ReactionNetwork, c: list, s: int) -> float:
+    """``dc_s/dt`` of a first-order network at concentrations ``c``.
+
+    Each reaction direction that feeds or drains ``s`` adds or subtracts its
+    flux ``k c_source``, from ``0.0`` in reaction order, the sum the
+    mass-action right-hand side forms for ``s``.
+    """
+    rate = 0.0
+    for rxn in net.reactions:
+        if not rxn.first_order:
+            raise ValueError("the t->0 limit needs an all-first-order network")
+        (u, _), = rxn.reactants
+        (v, _), = rxn.products
+        steps = ((rxn.k_forward, u, v), (rxn.k_backward, v, u))
+        for k, src, dst in steps if rxn.reversible else steps[:1]:
+            if dst == s:
+                rate += k * c[src]
+            elif src == s:
+                rate -= k * c[src]
+    return rate
 
 
 @dataclass(frozen=True)

@@ -227,21 +227,6 @@ def _scaled_det(rows: list, scale: int) -> Polynomial:
     return Polynomial([Fraction(c, den) for c in _kronecker_det(rows)])
 
 
-def poly_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Exact determinant of a square matrix of polynomials."""
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("determinant needs a square matrix")
-    scale = reduce(math.lcm, (c.denominator for row in rows for p in row
-                              for c in p.coeffs), 1)
-    int_rows = [
-        [[c.numerator * (scale // c.denominator) for c in p.coeffs] for p in row]
-        for row in rows
-    ]
-    return _scaled_det(int_rows, scale)
-
-
 # ---------------------------------------------------------------------------
 # exact rate matrices and cofactor transfer functions
 # ---------------------------------------------------------------------------
@@ -591,19 +576,21 @@ def path_equilibrium_constant(net: ReactionNetwork, a: int, b: int) -> Fraction:
     before ratios are formed. On a detailed-balanced network every reversible
     path gives this same product, K_ab = h_b/h_a; on an unbalanced one the
     shortest path's product is the sensible reading (for a directly connected
-    pair, its own merged rate ratio).
+    pair, its own merged rate ratio). The path is searched on the float
+    rates; only the rates of its steps are summed as Fractions.
     """
     if not (0 <= a < net.n and 0 <= b < net.n):
         raise IndexError("species index out of range")
     if a == b:
         return Fraction(1)
-    K = _reversible_path_constant(net.n, merged_rates(net, Fraction), a, b)
-    if K is None:
+    path = shortest_path(net.n, reversible_edges(merged_rates(net)), a, b)
+    if path is None:
         raise NoReversiblePathError(
             f"species {net.names[a]!r} and {net.names[b]!r} are not connected "
             "by reversible steps"
         )
-    return K
+    steps = set(zip(path, path[1:])) | set(zip(path[1:], path))
+    return Fraction(*path_products(merged_rates(net, Fraction, steps), path))
 
 
 def exact_balance(M) -> list:

@@ -26,6 +26,11 @@ _EIG_RESIDUAL_TOL = 1e-8
 # detailed balance; a margin over roundoff (balance_network leaves about
 # 1e-15 on a cycle product)
 _BALANCE_TOL = 1e-11
+# growth factors e^{lambda t} with lambda t below this (e^-575, about 1e-250)
+# are set to zero: late fast modes otherwise reach the matmul as subnormals,
+# on which BLAS runs several times slower, and a term this small lies
+# hundreds of orders below the eigen-sum's own roundoff
+_GROWTH_FLOOR_EXPONENT = -575.0
 
 
 @dataclass(frozen=True)
@@ -80,7 +85,7 @@ def _symmetric_form(m: np.ndarray):
     n = m.shape[0]
     off = m - np.diag(np.diag(m))
     vs, us = np.nonzero(off)
-    rates = {(int(u), int(v)): float(off[v, u]) for v, u in zip(vs, us)}
+    rates = dict(zip(zip(us.tolist(), vs.tolist()), off[vs, us].tolist()))
     for u, v in rates:
         if (v, u) not in rates:
             return None, None, f"irreversible step {u}->{v}"
@@ -95,6 +100,13 @@ def _symmetric_form(m: np.ndarray):
         return None, None, f"detailed balance off by {mismatch:.3e}"
     S = np.sqrt(off * off.T) + np.diag(np.diag(m))
     return S, np.sqrt(h), f"detailed balance holds to {mismatch:.3e}"
+
+
+def _growth(times: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """``e^{lambda t}`` for every grid time and eigenvalue, zero below the growth floor."""
+    exponent = np.outer(times, lam)
+    exponent[exponent.real < _GROWTH_FLOOR_EXPONENT] = -np.inf
+    return np.exp(exponent)
 
 
 def _eig_propagators(m: np.ndarray, times: np.ndarray, C0: np.ndarray):
@@ -117,7 +129,7 @@ def _eig_propagators(m: np.ndarray, times: np.ndarray, C0: np.ndarray):
         W = np.linalg.solve(V, C0.astype(complex))
     except np.linalg.LinAlgError:
         return None, "eigenvector matrix is singular"
-    growth = np.exp(np.outer(times, lam))
+    growth = _growth(times, lam)
     out = np.stack([(V @ (growth * w).T).T.real for w in W.T])
     return out, None
 
@@ -139,7 +151,7 @@ def _propagators(M: RateMatrix, times: np.ndarray, C0: np.ndarray) -> np.ndarray
         lam, Q = np.linalg.eigh(S)
         # S is negative semidefinite; a roundoff-positive eigenvalue would
         # grow without bound over long horizons
-        growth = np.exp(np.outer(times, np.minimum(lam, 0.0)))
+        growth = _growth(times, np.minimum(lam, 0.0))
         W = [Q.T @ (c / root_h) for c in C0.T]
         return np.stack([(growth * w) @ Q.T * root_h for w in W])
     out, why_not = _eig_propagators(m, times, C0)

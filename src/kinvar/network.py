@@ -248,21 +248,24 @@ def _edge_endpoints(rxn: Reaction) -> tuple[int, int]:
     return rxn.reactants[0][0], rxn.products[0][0]
 
 
-def merged_rates(net: ReactionNetwork, number=float) -> dict[tuple[int, int], object]:
+def merged_rates(net: ReactionNetwork, number=float,
+                 only=None) -> dict[tuple[int, int], object]:
     """Sparse merged rate map ``rates[(u, v)] = total k(u -> v)`` of a first-order network.
 
     Parallel reactions between one pair of species add up, so the map holds
     the rates the dynamics see.  Only positive rates get a key, and keys are
     inserted in reaction order.  ``number`` converts each rate constant, e.g.
-    ``float`` or ``Fraction``.
+    ``float`` or ``Fraction``; a set ``only`` of steps ``(u, v)`` keeps just
+    those keys, and converts no other rate.
     """
     rates: dict[tuple[int, int], object] = {}
     for rxn in net.reactions:
         if not rxn.first_order:
             raise ValueError("merged rates need an all-first-order network")
         u, v = _edge_endpoints(rxn)
-        rates[(u, v)] = rates.get((u, v), 0) + number(rxn.k_forward)
-        if rxn.reversible:
+        if only is None or (u, v) in only:
+            rates[(u, v)] = rates.get((u, v), 0) + number(rxn.k_forward)
+        if rxn.reversible and (only is None or (v, u) in only):
             rates[(v, u)] = rates.get((v, u), 0) + number(rxn.k_backward)
     return rates
 
@@ -567,6 +570,14 @@ _NETWORK_KEYS = {"species", "reactions"}
 _REACTION_KEYS = {"reactants", "products", "k_forward", "k_backward"}
 
 
+def config_number(value, what: str, kind=float):
+    """``kind(value)`` for a number read from JSON, or a ConfigError naming ``what``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
 def network_from_dict(data: dict) -> ReactionNetwork:
     """Parse the documented network schema; unknown fields are rejected."""
     if not isinstance(data, dict):
@@ -586,6 +597,8 @@ def network_from_dict(data: dict) -> ReactionNetwork:
     index = {nm: i for i, nm in enumerate(names)}
 
     def side(entries, what: str) -> tuple[tuple[int, int], ...]:
+        if not isinstance(entries, (list, tuple)):
+            raise ConfigError(f"{what} must be a list of [name, coefficient] pairs")
         out = []
         for e in entries:
             if not (isinstance(e, (list, tuple)) and len(e) == 2):
@@ -610,8 +623,9 @@ def network_from_dict(data: dict) -> ReactionNetwork:
                 Reaction(
                     reactants=side(raw["reactants"], "reactants"),
                     products=side(raw["products"], "products"),
-                    k_forward=float(raw["k_forward"]),
-                    k_backward=float(raw.get("k_backward", 0.0)),
+                    k_forward=config_number(raw["k_forward"], f"reaction {k}: k_forward"),
+                    k_backward=config_number(raw.get("k_backward", 0.0),
+                                             f"reaction {k}: k_backward"),
                 )
             )
         except KeyError as exc:

@@ -1,11 +1,13 @@
-"""Shared test helpers: seeded RNGs and random network generators."""
+"""Shared test helpers: seeded RNGs, random network generators and the
+printed three-cycle transforms."""
 
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from kinvar import first_order_network
+from kinvar import Polynomial, RationalFunction, first_order_network
 
 
 @pytest.fixture
@@ -57,6 +59,19 @@ def perturbed_network(rng, net):
     )
 
 
+def parallel_path_network():
+    """A <=> B <=> C <=> D <=> A with two reactions on each of A-B and B-C.
+
+    The parallel rates are decimal floats, so their float sums round and
+    differ from their exact sums; one of each pair runs against the other.
+    """
+    return first_order_network(list("ABCD"), [
+        ("A", "B", 0.1, 0.3), ("B", "A", 0.7, 0.2),
+        ("B", "C", 0.3, 0.1), ("C", "B", 0.6, 1.1),
+        ("C", "D", 0.4, 0.9), ("D", "A", 0.5, 0.25),
+    ])
+
+
 def exact_pair_constant(h, a, b) -> Fraction:
     """Equilibrium constant h_b/h_a for a balanced-integer network pair."""
     return Fraction(h[b], h[a])
@@ -90,3 +105,41 @@ def reversibly_connected_pairs(net):
             for b in comp[i + 1:]:
                 pairs.append((a, b))
     return pairs
+
+
+ThreeCycleLaplace = namedtuple(
+    "ThreeCycleLaplace",
+    ["sigma1", "sigma2", "delta", "L_a_from_a", "L_b_from_a", "L_a_from_b"],
+)
+
+
+def three_cycle_laplace(kp1, km1, kp2, km2, kp3, km3) -> ThreeCycleLaplace:
+    """Hand-derived Laplace transforms for the reversible cycle A <-> B <-> C <-> A.
+
+    Rates are taken at their exact rational values (floats by exact binary
+    expansion), so the returned polynomials can be compared coefficient by
+    coefficient against the resolvent-cofactor route.
+    """
+    kp1, km1, kp2, km2, kp3, km3 = (
+        Fraction(k) for k in (kp1, km1, kp2, km2, kp3, km3)
+    )
+    sigma1 = kp1 + km1 + kp2 + km2 + kp3 + km3
+    sigma2 = (
+        kp1 * kp2 + kp2 * kp3 + kp3 * kp1
+        + kp1 * km2 + kp2 * km3 + kp3 * km1
+        + km1 * km3 + km2 * km1 + km3 * km2
+    )
+    delta = Polynomial([0, sigma2, sigma1, 1])
+    num_aa = Polynomial(
+        [km1 * kp3 + km1 * km2 + kp2 * kp3, km1 + kp3 + kp2 + km2, 1]
+    )
+    num_ba = Polynomial([kp1 * kp3 + kp1 * km2 + km2 * km3, kp1])
+    num_ab = Polynomial([km1 * kp3 + km1 * km2 + kp2 * kp3, km1])
+    return ThreeCycleLaplace(
+        sigma1=sigma1,
+        sigma2=sigma2,
+        delta=delta,
+        L_a_from_a=RationalFunction(num_aa, delta),
+        L_b_from_a=RationalFunction(num_ba, delta),
+        L_a_from_b=RationalFunction(num_ab, delta),
+    )

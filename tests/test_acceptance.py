@@ -14,7 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import balanced_integer_network, reversibly_connected_pairs
+from conftest import (
+    balanced_integer_network,
+    reversibly_connected_pairs,
+    three_cycle_laplace,
+)
 
 from kinvar import (
     IntegratorConfig,
@@ -35,7 +39,6 @@ from kinvar import (
     prove_fixed_proportion,
     resolve_expected_K,
     simulate_linear,
-    three_cycle_laplace,
     transfer_function_cofactor,
     two_step_concentrations,
     two_step_eigenvalues,

@@ -261,6 +261,20 @@ def test_simulate_balance_reports_mismatch_before_and_after(tmp_path, capsys):
          "species must be a list of names"),
         ({"network": {"species": ["A", "B"], "reactions": 3}},
          "reactions must be a list"),
+        ({"experiment": {"a": "A", "b": "B", "a0": [1.0]}},
+         "experiment a0 must be a number, got [1.0]"),
+        ({"grid": {"t_max": [4.0], "points": 25}}, "grid t_max must be a number"),
+        ({"network": {"species": ["A", "B"],
+                      "reactions": [{"reactants": [["A", 1]], "products": [["B", 1]],
+                                     "k_forward": [2.0], "k_backward": 1.0}]}},
+         "reaction 0: k_forward must be a number"),
+        ({"invariants": [{"kind": "linear_ratio", "pair": ["A", "B"],
+                          "expected_K": [2.0]}]},
+         "invariant expected_K must be a number"),
+        ({"network": {"species": ["A", "B"],
+                      "reactions": [{"reactants": 1, "products": [["B", 1]],
+                                     "k_forward": 2.0}]}},
+         "reactants must be a list of [name, coefficient] pairs"),
     ],
 )
 def test_malformed_scenario_types_exit_2(tmp_path, capsys, mutation, message_part):
@@ -268,8 +282,33 @@ def test_malformed_scenario_types_exit_2(tmp_path, capsys, mutation, message_par
     for command in ("simulate", "invariants"):
         rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert message_part in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message_part in err
+        assert len(err.splitlines()) == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_network_file_must_be_a_path_exits_2(tmp_path, capsys):
+    cfg = _write_scenario(tmp_path)
+    scn = json.loads(cfg.read_text())
+    del scn["network"]
+    scn["network_file"] = 3
+    cfg.write_text(json.dumps(scn))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: network_file must be a path string\n"
+
+
+def test_overflowing_rate_exits_3(tmp_path, capsys):
+    # k_forward = 1e308 overflows the initial rate of 2A <=> B, which leaves
+    # the starting-step heuristic no positive step
+    network = {"species": ["A", "B"],
+               "reactions": [{"reactants": [["A", 2]], "products": [["B", 1]],
+                              "k_forward": 1e308, "k_backward": 1.0}]}
+    cfg = _write_scenario(tmp_path, network=network, invariants=[])
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "step size underflow (at t=0)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -427,22 +466,42 @@ def test_first_order_kind_on_second_order_network_exits_2(tmp_path, capsys, kind
     assert not (tmp_path / "i").exists()
 
 
+def _modules_after(argv) -> set:
+    """Names in ``sys.modules`` after ``kinvar <argv>`` runs in a fresh process."""
+    script = ("import sys\n"
+              "from kinvar.cli import main\n"
+              "rc = main(sys.argv[1:])\n"
+              "print(' '.join(sys.modules))\n"
+              "sys.exit(rc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
 def test_mass_action_simulate_never_imports_scipy_optimize(tmp_path):
     # conservation weights of 2A <=> B come from the coefficient tree, so the
     # linear program's import stays out of the process
     species, reactions = _CLOSED_FORM_SHAPES["2A<=>B"]
     cfg = _write_scenario(tmp_path, invariants=[],
                           network={"species": species, "reactions": reactions})
-    script = ("import sys\n"
-              "from kinvar.cli import main\n"
-              "rc = main(sys.argv[1:])\n"
-              "print('scipy.optimize' in sys.modules)\n"
-              "sys.exit(rc)\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "simulate", "--config", str(cfg),
-         "--out", str(tmp_path / "o"), "--oracle"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-        timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    modules = _modules_after(["simulate", "--config", str(cfg),
+                              "--out", str(tmp_path / "o"), "--oracle"])
+    assert "scipy.optimize" not in modules
+
+
+@pytest.mark.parametrize("command", ["invariants", "prove"])
+def test_first_order_commands_never_import_scipy(tmp_path, command):
+    # a balanced first-order network takes the symmetric eigen path, and the
+    # proof runs on integers: neither needs any part of scipy
+    if command == "invariants":
+        argv = ["invariants", "--config", str(_write_scenario(tmp_path))]
+    else:
+        save_network(butene_cycle(), tmp_path / "butene.json")
+        argv = ["prove", "--balance", "--config", str(tmp_path / "butene.json"),
+                "--pair", "cis-2-butene,1-butene"]
+    modules = _modules_after(argv + ["--out", str(tmp_path / "o")])
+    assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]

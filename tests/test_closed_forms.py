@@ -3,6 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import three_cycle_laplace
+
 from kinvar import (
     build_rate_matrix,
     first_order_network,
@@ -10,7 +12,6 @@ from kinvar import (
     nonlinear_2A_2B,
     simulate_linear,
     single_reversible,
-    three_cycle_laplace,
     transfer_function_cofactor,
     two_step_concentrations,
     two_step_eigenvalues,

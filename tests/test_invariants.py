@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import balanced_integer_network, exact_pair_constant
+from conftest import balanced_integer_network, exact_pair_constant, parallel_path_network
 
 from kinvar import (
     DegenerateExperimentError,
@@ -18,6 +18,9 @@ from kinvar import (
     resolve_expected_K,
     Reaction,
 )
+from kinvar._kernels import rhs_packed
+from kinvar.network import pack_network
+from kinvar.trajectory import DualExperiment, Trajectory
 
 
 def _grid(t_max=5.0, points=60):
@@ -127,9 +130,9 @@ def test_ratio_limit_at_zero_rates():
 
 
 def test_ratio_limit_at_zero_is_the_rhs_quotient(rng):
-    # the limit packs the network into the mass-action kernel's terms; it
-    # must still be bit for bit the quotient of the two initial rates M c0,
-    # which the unit priming reads off the rate matrix exactly
+    # the limit sums the initial fluxes reaction by reaction; it must be bit
+    # for bit the quotient of the two initial rates M c0, which the unit
+    # priming reads off the rate matrix exactly
     for net in (balanced_integer_network(rng, 6)[0], butene_cycle()):
         rxn = net.reactions[0]  # a directly connected pair
         a, b = rxn.reactants[0][0], rxn.products[0][0]
@@ -139,6 +142,24 @@ def test_ratio_limit_at_zero_is_the_rhs_quotient(rng):
         rate_b = (M @ dual.from_a.concentrations[0])[b]
         rate_a = (M @ dual.from_b.concentrations[0])[a]
         assert ratio_limit_at_zero(dual, spec) == float(rate_b / rate_a)
+
+
+def test_ratio_limit_at_zero_matches_the_packed_rhs_bit_for_bit():
+    # parallel reactions feed and drain both species; from any initial state
+    # the limit sums the same terms in the same order as the packed kernel
+    net = parallel_path_network()
+    terms = pack_network(net)
+    rng = np.random.default_rng(5)
+    duals = [dual_experiment(net, 0, 1, _grid())]
+    for _ in range(5):
+        conc = rng.uniform(0.0, 1.0, (2, len(_grid()), net.n))
+        duals.append(DualExperiment(Trajectory(_grid(), conc[0], 0, "", net),
+                                    Trajectory(_grid(), conc[1], 1, "", net), 0, 1))
+    spec = resolve_expected_K(net, "linear_ratio", 0, 1)
+    for dual in duals:
+        rate_b = rhs_packed(dual.from_a.concentrations[0].tolist(), terms, net.n)[1]
+        rate_a = rhs_packed(dual.from_b.concentrations[0].tolist(), terms, net.n)[0]
+        assert ratio_limit_at_zero(dual, spec) == rate_b / rate_a
 
 
 def test_ratio_limit_at_zero_needs_direct_feed():

@@ -1,12 +1,18 @@
 import dataclasses
 import logging
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import balanced_integer_network, exact_pair_constant, perturbed_network
+from conftest import (
+    balanced_integer_network,
+    exact_pair_constant,
+    parallel_path_network,
+    perturbed_network,
+)
 
 from kinvar import (
     NoReversiblePathError,
@@ -30,11 +36,12 @@ from kinvar import linear
 from kinvar.laplace import (
     _certificate_failure,
     _rate_map,
+    _reversible_path_constant,
     cofactor_numerator,
+    _scaled_det,
     exact_entries,
-    poly_det,
 )
-from kinvar.network import potentials
+from kinvar.network import merged_rates, potentials
 
 
 def _p(*coeffs):
@@ -53,6 +60,14 @@ def test_polynomial_basics():
     assert (_p(1, 1) * _p(-1, 1)) == _p(-1, 0, 1)
     assert _p(1, 2) - _p(1, 2) == Polynomial([])
     assert _p(1, 1) * Fraction(3) == _p(3, 3)
+
+
+def poly_det(rows):
+    """Exact determinant of a square matrix of polynomials, by the Kronecker-Bareiss kernel."""
+    scale = math.lcm(*(c.denominator for row in rows for p in row for c in p.coeffs))
+    int_rows = [[[c.numerator * (scale // c.denominator) for c in p.coeffs] for p in row]
+                for row in rows]
+    return _scaled_det(int_rows, scale)
 
 
 def test_poly_det_matches_numpy():
@@ -414,6 +429,16 @@ def test_path_equilibrium_constant_unbalanced_takes_shortest_path():
     # A -> B directly (ratio 1), not A -> C -> B (ratio 2)
     assert path_equilibrium_constant(net, 0, 1) == 1
     assert path_equilibrium_constant(net, 0, 2) == 2
+
+
+def test_path_equilibrium_constant_sums_parallel_rates_exactly():
+    # the path is found on the float rates, but the rates of its steps are
+    # summed as Fractions; the whole network in Fractions gives the same K
+    net = parallel_path_network()
+    K = path_equilibrium_constant(net, 0, 2)
+    assert K == _reversible_path_constant(net.n, merged_rates(net, Fraction), 0, 2)
+    float_sums = {e: Fraction(k) for e, k in merged_rates(net).items()}
+    assert K != _reversible_path_constant(net.n, float_sums, 0, 2)
 
 
 def test_float_and_exact_cycle_verdicts_agree(rng):

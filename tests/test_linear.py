@@ -129,6 +129,39 @@ def test_balanced_path_matches_eig_path(net):
                                rtol=0, atol=1e-11)
 
 
+def _unfloored_propagators(M, times, C0):
+    """The spectral sums of ``_propagators`` with every growth factor kept, however small."""
+    S, root_h, _ = linear._symmetric_form(M.entries)
+    if S is not None:
+        lam, Q = np.linalg.eigh(S)
+        growth = np.exp(np.outer(times, np.minimum(lam, 0.0)))
+        return lam, np.stack([(growth * (Q.T @ (c / root_h))) @ Q.T * root_h
+                              for c in C0.T])
+    lam, V = np.linalg.eig(M.entries)
+    growth = np.exp(np.outer(times, lam))
+    return lam, np.stack([(V @ (growth * w).T).T.real
+                          for w in np.linalg.solve(V, C0.astype(complex)).T])
+
+
+_TWO_TIMESCALE = [("A", "B", 1e3, 5e2), ("B", "C", 1e-2, 2e-2)]
+
+
+@pytest.mark.parametrize("net", [
+    _BALANCED[2],
+    first_order_network(list("ABC"), _TWO_TIMESCALE),
+    first_order_network(list("ABC"), _TWO_TIMESCALE[:1] + [("B", "C", 1e-2, 0.0)]),
+], ids=["n200", "two-timescale", "two-timescale-irreversible"])
+def test_growth_floor_leaves_propagators_bit_identical(net):
+    # the modes the floor drops lie far below the roundoff of the sum they
+    # join, so flooring them changes no bit of the result
+    M = build_rate_matrix(net)
+    times = default_time_grid(M)
+    C0 = np.eye(net.n)[:, [0, net.n - 1]]
+    lam, reference = _unfloored_propagators(M, times, C0)
+    assert np.outer(times, lam).real.min() < linear._GROWTH_FLOOR_EXPONENT
+    assert np.array_equal(linear._propagators(M, times, C0), reference)
+
+
 @pytest.mark.parametrize("net", _BALANCED, ids=["n10", "n50", "n200"])
 def test_default_time_grid_matches_general_spectrum(net):
     M = build_rate_matrix(net)
