@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -76,6 +77,10 @@ EXIT_FAILED = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
+# largest grid a scenario or --grid may ask for; 250 times the default 400
+# points, and a 200-species trajectory on it already takes 160 MB
+MAX_GRID_POINTS = 100_000
+
 _INPUT_ERRORS = (
     ConfigError,
     NetworkValidationError,
@@ -106,10 +111,12 @@ class GridSpec:
         if self.spacing not in ("linear", "geometric"):
             raise ConfigError(f"grid spacing must be linear or geometric, "
                               f"got {self.spacing!r}")
-        if not self.t_max > 0:
-            raise ConfigError("grid t_max must be positive")
-        if self.points < 2:
-            raise ConfigError("grid needs at least 2 points")
+        if not (self.t_max > 0 and math.isfinite(self.t_max)):
+            raise ConfigError("grid t_max must be positive and finite, "
+                              f"got {self.t_max!r}")
+        if not 2 <= self.points <= MAX_GRID_POINTS:
+            raise ConfigError(f"grid points must be between 2 and {MAX_GRID_POINTS}, "
+                              f"got {self.points}")
 
     def times(self) -> np.ndarray:
         """``{0}`` plus ``points`` times up to the named ``t_max``; geometric

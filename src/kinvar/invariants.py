@@ -65,7 +65,11 @@ def resolve_expected_K(net: ReactionNetwork, kind: str, a: int, b: int) -> Invar
     pair that is just its own rate ratio).
     """
     if kind in FIRST_ORDER_KINDS:
-        K = float(path_equilibrium_constant(net, a, b))
+        try:
+            K = float(path_equilibrium_constant(net, a, b))
+        except OverflowError:
+            raise ValueError(f"equilibrium constant of {net.names[a]!r} -> "
+                             f"{net.names[b]!r} overflows a float") from None
         return InvariantSpec(kind, (a, b), K, "from-path-product")
     product_coeff = 1 if kind == "nonlinear_2A_B" else 2
     for rxn in net.reactions:

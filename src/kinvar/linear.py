@@ -9,6 +9,7 @@ Trajectories are evaluated exactly in time as ``exp(M t) c0``.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,14 @@ _BALANCE_TOL = 1e-11
 # on which BLAS runs several times slower, and a term this small lies
 # hundreds of orders below the eigen-sum's own roundoff
 _GROWTH_FLOOR_EXPONENT = -575.0
+# the fallback propagator halves each grid time s times until x = c t / 2^s
+# is below 2^_SERIES_SCALE_EXPONENT = 8, then sums the Poisson series in x
+# over j < _SERIES_TERMS. The dropped tail grows with x; at x = 8 it is
+# sum_{j>=43} e^{-8} 8^j / j! <= e^{-8} 8^43 / 43! / (1 - 8/44) = 4.6e-18,
+# under a twentieth of the unit roundoff 2^-53 = 1.1e-16
+_SERIES_SCALE_EXPONENT = 3
+_SERIES_TERMS = 43
+_LOG_FACTORIALS = np.array([math.lgamma(j + 1) for j in range(_SERIES_TERMS)])
 
 
 @dataclass(frozen=True)
@@ -134,15 +143,74 @@ def _eig_propagators(m: np.ndarray, times: np.ndarray, C0: np.ndarray):
     return out, None
 
 
+def _shifted_series_propagators(m: np.ndarray, times: np.ndarray,
+                                C0: np.ndarray) -> np.ndarray:
+    """``exp(M t) C0`` for each grid time by nonnegative scaling and squaring.
+
+    With ``c = max(-M_ii)``, ``N = M + cI`` is nonnegative and
+    ``exp(M t) = sum_j e^{-x} x^j / j! (N/c)^j`` with ``x = c t``: Poisson
+    weights on the powers of the column-stochastic ``N/c`` (uniformization).
+    Each grid time is halved ``s`` times until ``x < 8``; the
+    first ``_SERIES_TERMS`` terms are summed and the sum is squared ``s``
+    times. Every operand is nonnegative, so no sum cancels and rounding
+    errors stay relative to each entry (Xue & Ye, Numer. Math. 2008;
+    Higham, *Functions of Matrices*, 2008, ch. 10). The columns of ``M``
+    sum to zero, so each column of ``exp(M t)`` sums to one; rescaling the
+    columns to that sum before every squaring keeps their rounding from
+    doubling with each squaring, which would otherwise cost slow modes
+    ``c t`` units of roundoff on a stiff network.
+    """
+    n = m.shape[0]
+    c = float(-np.diag(m).min())
+    # c >= -M_ii and rounding is monotone, so no diagonal entry of N rounds
+    # below zero; the off-diagonal entries are added to an exact 0
+    P = (m + c * np.eye(n)) / c
+    P /= P.sum(axis=0)  # the column sums of M round to about 0, not to 0
+    powers = np.empty((_SERIES_TERMS, n, n))
+    powers[0] = np.eye(n)
+    for j in range(1, _SERIES_TERMS):
+        powers[j] = powers[j - 1] @ P
+    # one column at a time, so a dual run equals two single runs bit for bit
+    krylov = np.stack([powers @ col for col in C0.T])
+    powers = powers.reshape(_SERIES_TERMS, n * n)
+    j = np.arange(_SERIES_TERMS)
+    c_mantissa, c_exponent = math.frexp(c)
+    out = np.empty((C0.shape[1], len(times), n))
+    for k, t in enumerate(times):
+        # c t = mantissa 2^e with 1/2 <= mantissa < 1, read off the factors'
+        # exponents so that it cannot overflow
+        t_mantissa, t_exponent = math.frexp(t)
+        mantissa, e = math.frexp(c_mantissa * t_mantissa)
+        e += c_exponent + t_exponent
+        s = max(e - _SERIES_SCALE_EXPONENT, 0)
+        x = math.ldexp(mantissa, e - s)  # c t / 2^s < 2^_SERIES_SCALE_EXPONENT
+        if x == 0.0:  # exp(0) = I to working precision; log(0) is not needed
+            out[:, k] = C0.T
+            continue
+        weights = np.exp(j * math.log(x) - x - _LOG_FACTORIALS)  # e^-x x^j / j!
+        if s == 0:  # no squaring: sum the series on C0's columns alone
+            out[:, k] = weights @ krylov
+            continue
+        step = (weights @ powers).reshape(n, n)
+        for _ in range(s):
+            step /= step.sum(axis=0)  # columns of exp(M t) sum to one
+            step = step @ step
+        for i, col in enumerate(C0.T):
+            out[i, k] = step @ col
+    return out
+
+
 def _propagators(M: RateMatrix, times: np.ndarray, C0: np.ndarray) -> np.ndarray:
     """``out[k]`` holds the rows ``exp(M t) C0[:, k]`` for each grid time.
 
     A detailed-balanced ``M`` is propagated through the real symmetric
     eigendecomposition of its symmetric form; any other generator through
     complex diagonalization when its spectrum is well conditioned, otherwise
-    by scaling-and-squaring (`scipy.linalg.expm`) per grid point, which also
-    covers defective spectra (e.g. equal-rate irreversible chains).  The path
-    taken and the reason are logged at DEBUG level.
+    by the nonnegative scaling-and-squaring of
+    :func:`_shifted_series_propagators` per grid point, which also covers
+    defective spectra (e.g. equal-rate irreversible chains) and needs no
+    scipy.  The path taken and the reason are logged at DEBUG level; the
+    last path keeps the label ``expm``.
     """
     m = M.entries
     S, root_h, why = _symmetric_form(m)
@@ -159,15 +227,7 @@ def _propagators(M: RateMatrix, times: np.ndarray, C0: np.ndarray) -> np.ndarray
         log.debug("propagator eig: %s", why)
         return out
     log.debug("propagator expm: %s", why_not)
-
-    from scipy.linalg import expm
-
-    out = np.empty((C0.shape[1], len(times), M.n))
-    for k, t in enumerate(times):
-        step = expm(m * t)
-        for j, c in enumerate(C0.T):
-            out[j, k] = step @ c
-    return out
+    return _shifted_series_propagators(m, times, C0)
 
 
 def simulate_linear(

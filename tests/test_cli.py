@@ -1,4 +1,6 @@
 import json
+import logging
+import math
 import os
 import subprocess
 import sys
@@ -6,12 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from kinvar import butene_cycle, first_order_network, save_network
 from kinvar.cli import main, parse_scenario
 
 
-def _write_scenario(tmp_path, name="scn.json", **overrides):
+def _scenario(**overrides) -> dict:
     scn = {
         "network": {
             "species": ["A", "B"],
@@ -29,8 +32,12 @@ def _write_scenario(tmp_path, name="scn.json", **overrides):
         "invariants": [{"kind": "linear_ratio", "pair": ["A", "B"]}],
     }
     scn.update(overrides)
+    return scn
+
+
+def _write_scenario(tmp_path, name="scn.json", **overrides):
     path = tmp_path / name
-    path.write_text(json.dumps(scn))
+    path.write_text(json.dumps(_scenario(**overrides)))
     return path
 
 
@@ -288,6 +295,38 @@ def test_malformed_scenario_types_exit_2(tmp_path, capsys, mutation, message_par
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("grid, flag, message", [
+    ({"t_max": math.inf, "points": 25}, None,
+     "grid t_max must be positive and finite, got inf"),
+    ({"t_max": math.nan, "points": 25}, None,
+     "grid t_max must be positive and finite, got nan"),
+    (None, "inf,25,geometric", "grid t_max must be positive and finite, got inf"),
+    ({"t_max": 4.0, "points": 1e9}, None,
+     "grid points must be between 2 and 100000, got 1000000000"),
+    (None, "4,1000000000,linear",
+     "grid points must be between 2 and 100000, got 1000000000"),
+])
+def test_grid_out_of_range_exits_2(tmp_path, capsys, grid, flag, message):
+    # checked before any time is computed: 1e9 points would ask for 7.45 GiB
+    cfg = _write_scenario(tmp_path, **({} if grid is None else {"grid": grid}))
+    for command in ("simulate", "invariants"):
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(argv + (["--grid", flag] if flag else [])) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_overflowing_equilibrium_constant_exits_2(tmp_path, capsys):
+    # K = 2 / 5e-324 lies beyond the largest float
+    network = {"species": ["A", "B"],
+               "reactions": [{"reactants": [["A", 1]], "products": [["B", 1]],
+                              "k_forward": 2.0, "k_backward": 5e-324}]}
+    cfg = _write_scenario(tmp_path, network=network)
+    assert main(["invariants", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        "error: equilibrium constant of 'A' -> 'B' overflows a float\n"
+
+
 def test_network_file_must_be_a_path_exits_2(tmp_path, capsys):
     cfg = _write_scenario(tmp_path)
     scn = json.loads(cfg.read_text())
@@ -493,15 +532,99 @@ def test_mass_action_simulate_never_imports_scipy_optimize(tmp_path):
     assert "scipy.optimize" not in modules
 
 
-@pytest.mark.parametrize("command", ["invariants", "prove"])
+# A <=> B draining into an equal-rate irreversible chain B -> C -> D -> E:
+# C and D share the eigenvalue -1 without two eigenvectors, so the spectrum
+# is defective and propagation takes the expm fallback; A and B are joined
+# only by their own reversible step, so B_A / A_B is K = 2 throughout
+_DEFECTIVE_CHAIN = {"species": ["A", "B", "C", "D", "E"],
+                    "reactions": [_rxn(["A", 1], ["B", 1], 2.0, 1.0),
+                                  _rxn(["B", 1], ["C", 1], 1.0, 0.0),
+                                  _rxn(["C", 1], ["D", 1], 1.0, 0.0),
+                                  _rxn(["D", 1], ["E", 1], 1.0, 0.0)]}
+
+
+def test_defective_chain_scenario_takes_the_expm_fallback(tmp_path, caplog):
+    cfg = _write_scenario(tmp_path, network=_DEFECTIVE_CHAIN)
+    with caplog.at_level(logging.DEBUG, logger="kinvar.linear"):
+        assert main(["invariants", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 0
+    assert [r.getMessage().split(":")[0] for r in caplog.records
+            if r.name == "kinvar.linear"] == ["propagator expm"]
+
+
+@pytest.mark.parametrize("command", ["invariants", "prove", "invariants-defective",
+                                     "simulate-defective"])
 def test_first_order_commands_never_import_scipy(tmp_path, command):
-    # a balanced first-order network takes the symmetric eigen path, and the
-    # proof runs on integers: neither needs any part of scipy
-    if command == "invariants":
-        argv = ["invariants", "--config", str(_write_scenario(tmp_path))]
-    else:
+    # a balanced first-order network takes the symmetric eigen path, a
+    # defective one the numpy-only expm fallback, and the proof runs on
+    # integers: none of them needs any part of scipy
+    if command == "prove":
         save_network(butene_cycle(), tmp_path / "butene.json")
         argv = ["prove", "--balance", "--config", str(tmp_path / "butene.json"),
                 "--pair", "cis-2-butene,1-butene"]
+    elif command.endswith("-defective"):
+        argv = [command.split("-")[0], "--config",
+                str(_write_scenario(tmp_path, network=_DEFECTIVE_CHAIN))]
+    else:
+        argv = ["invariants", "--config", str(_write_scenario(tmp_path))]
     modules = _modules_after(argv + ["--out", str(tmp_path / "o")])
     assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+
+
+# one-field mutations of a 2A <=> B and of the defective first-order
+# scenario; the exit-code contract is 0 ok, 1 verdict failed, 2 bad input,
+# 3 numerical failure, and never an uncaught exception (a traceback, exit 1)
+_FUZZ_BASES = [
+    _scenario(network=dict(zip(("species", "reactions"), _CLOSED_FORM_SHAPES["2A<=>B"])),
+              invariants=[{"kind": "nonlinear_2A_B", "pair": ["A", "B"]}]),
+    _scenario(network=_DEFECTIVE_CHAIN),
+]
+_FUZZ_FIELDS = [
+    ("network",), ("network", "species"), ("network", "reactions"),
+    ("network", "reactions", 0), ("network", "reactions", 0, "reactants"),
+    ("network", "reactions", 0, "products"), ("network", "reactions", 0, "k_forward"),
+    ("network", "reactions", 0, "k_backward"),
+    ("experiment",), ("experiment", "a"), ("experiment", "a0"), ("experiment", "b0"),
+    ("grid",), ("grid", "t_max"), ("grid", "points"), ("grid", "spacing"),
+    ("invariants",), ("invariants", 0), ("invariants", 0, "kind"),
+    ("invariants", 0, "pair"), ("invariants", 0, "expected_K"),
+    ("engine",), ("balance",),
+]
+_MISSING = object()
+# wrong types, a missing key, non-finite and extreme numbers, empty containers
+_FUZZ_VALUES = [_MISSING, None, True, "x", 3, [], {}, [1.0], ["A"], {"a": 1},
+                math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, 1e-300, 0, -1.0,
+                10**400]
+
+
+def _mutated(base: dict, path: tuple, value) -> dict:
+    scn = json.loads(json.dumps(base))
+    node = scn
+    for key in path[:-1]:
+        node = node[key]
+    if value is not _MISSING:
+        node[path[-1]] = value
+    elif isinstance(node, dict):
+        node.pop(path[-1], None)
+    else:
+        del node[path[-1]]
+    return scn
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(base=st.sampled_from(_FUZZ_BASES), path=st.sampled_from(_FUZZ_FIELDS),
+       value=st.sampled_from(_FUZZ_VALUES),
+       command=st.sampled_from([["simulate"], ["invariants", "--tol", "1e-3"]]))
+def test_one_field_mutations_keep_the_exit_code_contract(tmp_path, capsys, base, path,
+                                                          value, command):
+    # the explicit integrator takes stability-limited steps, so on 2A <=> B a
+    # horizon of 1e6 already runs for minutes (an implicit engine is the
+    # planned fix): horizons above 1e3 are left out of the nonlinear base
+    assume(not (base is _FUZZ_BASES[0] and path == ("grid", "t_max")
+                and isinstance(value, float) and 1e3 < value < math.inf))
+    cfg = tmp_path / "scn.json"
+    cfg.write_text(json.dumps(_mutated(base, path, value)))
+    rc = main(command + ["--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -188,6 +189,72 @@ def _irreversible_chain(n=30):
 # one network per propagator path
 _PATH_CASES = {"eigh": balance_network(butene_cycle()), "eig": _triangle(),
                "expm": _irreversible_chain()}
+
+
+def _poisson_profile(n, times, shift):
+    """Equal-rate irreversible chain S0 -> S1 -> ... primed with pure S_shift.
+
+    ``S_{shift+k}`` holds ``e^{-t} t^k / k!``; the last species holds the rest.
+    """
+    out = np.zeros((len(times), n))
+    for k in range(n - 1 - shift):
+        out[:, shift + k] = [math.exp(-t) * t**k / math.factorial(k) for t in times]
+    out[:, n - 1] = 1.0 - out[:, :n - 1].sum(axis=1)
+    return out
+
+
+@pytest.mark.filterwarnings("error")
+def test_fallback_matches_the_poisson_profile():
+    # the defective chain takes the nonnegative scaling-and-squaring fallback
+    net = _irreversible_chain()
+    M = build_rate_matrix(net)
+    times = default_time_grid(M)
+    assert linear._eig_propagators(M.entries, times, np.eye(net.n)[:, :1])[0] is None
+    dual = dual_experiment(net, 0, 1, times)
+    for traj, shift in ((dual.from_a, 0), (dual.from_b, 1)):
+        c = traj.concentrations
+        np.testing.assert_allclose(c, _poisson_profile(net.n, times, shift),
+                                   rtol=0, atol=1e-10)
+        assert c.min() >= 0.0
+        np.testing.assert_allclose(c.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def _stiff_defective_chain():
+    """The 30-species equal-rate chain fed by a fast pair ``F <=> S0``: c t reaches 1.1e5."""
+    names = [f"S{i}" for i in range(30)]
+    return first_order_network(names + ["F"],
+                               [(names[i], names[i + 1], 1.0, 0.0) for i in range(29)]
+                               + [("F", "S0", 1e4, 1e3)])
+
+
+@pytest.mark.filterwarnings("error")
+def test_fallback_is_as_close_as_expm_on_a_stiff_defective_network():
+    from scipy.linalg import expm
+
+    mpmath = pytest.importorskip("mpmath")
+
+    net = _stiff_defective_chain()
+    M = build_rate_matrix(net)
+    assert linear._eig_propagators(M.entries, np.array([0.0, 1.0]),
+                                   np.eye(net.n)[:, :1])[0] is None
+    # c t from 3.4 to 1.1e5 (the default grid's end) in steps of 2^5, so
+    # that the reference at each time is the last one squared five times
+    times = np.array([0.0] + [11.0 / 32.0**k for k in (3, 2, 1, 0)])
+    C0 = np.eye(net.n)[:, [net.index_of("S0"), net.index_of("F")]]
+    got = linear._propagators(M, times, C0)
+    with mpmath.workdps(40):
+        step = mpmath.expm(mpmath.matrix(M.entries.tolist()) * mpmath.mpf(times[1]))
+        exact = []
+        for k in range(1, len(times)):
+            if k > 1:
+                for _ in range(5):
+                    step = step * step
+            exact.append(np.array(step.tolist(), dtype=float) @ C0)
+    for k, t in enumerate(times[1:], start=1):
+        fallback_gap = np.abs(got[:, k].T - exact[k - 1]).max()
+        expm_gap = np.abs(expm(M.entries * t) @ C0 - exact[k - 1]).max()
+        assert fallback_gap <= expm_gap, (t, fallback_gap, expm_gap)
+    assert got.min() >= 0.0
 
 
 @pytest.mark.parametrize("path", _PATH_CASES)
