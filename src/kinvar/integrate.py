@@ -90,18 +90,19 @@ def primed_amounts(
     carry the same conserved total ``w.c``; explicit amounts must agree on it,
     else :class:`ConservationError` names both totals.
     """
+    w_a, w_b = float(w[a]), float(w[b])  # Python floats: inf - inf is NaN, unwarned
     if a0 is None:
         a0 = 1.0
     if b0 is None:
-        b0 = w[a] * a0 / w[b]
-    total_a = w[a] * a0
-    total_b = w[b] * b0
-    if abs(total_a - total_b) > _TOTAL_TOL:
+        b0 = w_a * a0 / w_b
+    total_a = w_a * a0
+    total_b = w_b * b0
+    if not abs(total_a - total_b) <= _TOTAL_TOL:  # a NaN difference fails too
         raise ConservationError(
             f"conserved totals differ: w.c = {total_a:g} from "
             f"{net.names[a]!r} but {total_b:g} from {net.names[b]!r}"
         )
-    return a0, b0, float(total_a)
+    return a0, b0, total_a
 
 
 def dual_experiment_nonlinear(

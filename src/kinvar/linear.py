@@ -11,11 +11,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import MultipleEquilibriaError, NetworkValidationError
-from .network import ORDER_FIRST, ReactionNetwork, potentials, validate_network
+from .errors import MultipleEquilibriaError
+from .network import COLUMN_SUM_TOL, ReactionNetwork, potentials, rate_entries
 from .trajectory import DualExperiment, Trajectory, check_grid, geometric_grid
 
 log = logging.getLogger(__name__)
@@ -56,7 +57,7 @@ class RateMatrix:
         if np.any(off < 0):
             raise ValueError("negative off-diagonal rate")
         colsums = m.sum(axis=0)
-        if np.any(np.abs(colsums) > 1e-9 * max(1.0, np.abs(m).max())):
+        if np.any(np.abs(colsums) > COLUMN_SUM_TOL * max(1.0, np.abs(m).max())):
             raise ValueError("columns of a rate matrix must sum to zero")
         object.__setattr__(self, "entries", m)
 
@@ -66,19 +67,11 @@ class RateMatrix:
 
 
 def build_rate_matrix(net: ReactionNetwork) -> RateMatrix:
-    """Assemble ``M`` from an all-first-order network; parallel edges are summed."""
-    kind = net.order_kind or validate_network(net).order_kind
-    if kind != ORDER_FIRST:
-        raise NetworkValidationError("build_rate_matrix requires an all-first-order network")
+    """``M`` of an all-first-order network, from :func:`~kinvar.network.rate_entries`."""
+    entries = rate_entries(net)
     m = np.zeros((net.n, net.n))
-    for rxn in net.reactions:
-        u = rxn.reactants[0][0]
-        v = rxn.products[0][0]
-        m[v, u] += rxn.k_forward
-        m[u, u] -= rxn.k_forward
-        if rxn.reversible:
-            m[u, v] += rxn.k_backward
-            m[v, v] -= rxn.k_backward
+    index = np.fromiter(chain.from_iterable(entries), np.intp, 2 * len(entries))
+    m[index[0::2], index[1::2]] = np.fromiter(entries.values(), float, len(entries))
     return RateMatrix(m)
 
 
@@ -295,7 +288,7 @@ def default_time_grid(M: RateMatrix, points: int = 400) -> np.ndarray:
 
     ``tau`` is the slowest nonzero relaxation time ``1/|lambda_min|``; the
     span resolves the fast transient and the approach to equilibrium. A
-    scenario's geometric grid (``cli.GridSpec``) runs from ``1e-3 t_max`` to
+    scenario's geometric grid (``scenario.GridSpec``) runs from ``1e-3 t_max`` to
     the ``t_max`` it names instead; both start three decades below their
     scale.
     """

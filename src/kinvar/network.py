@@ -16,10 +16,12 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import BalanceError, ConfigError, ConservationError, NetworkValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -278,15 +280,20 @@ def reversible_edges(rates) -> list[tuple[int, int]]:
 def path_products(rates, walk) -> tuple:
     """Rate products along a vertex walk and against it, in the arithmetic of ``rates``.
 
-    Floats share exact power-of-two rescalings, so long walks cannot overflow.
+    Floats share exact power-of-two rescalings, so long walks cannot
+    overflow: a step whose larger product would leave ``[2^-500, 2^500]`` is
+    taken again from running products scaled to put the larger one in
+    ``[0.5, 1)``. When the two differ by more than the float range, the
+    smaller one underflows towards 0.
     """
     along = against = 1
     for x, y in zip(walk, walk[1:]):
-        along *= rates[(x, y)]
-        against *= rates[(y, x)]
-        if isinstance(along, float) and not 2.0 ** -500 < along < 2.0 ** 500:
-            e = math.frexp(along)[1]
-            along, against = math.ldexp(along, -e), math.ldexp(against, -e)
+        forward, backward = along * rates[(x, y)], against * rates[(y, x)]
+        if isinstance(forward, float) and not 2.0 ** -500 < max(forward, backward) < 2.0 ** 500:
+            e = math.frexp(max(along, against))[1]
+            forward = math.ldexp(along, -e) * rates[(x, y)]
+            backward = math.ldexp(against, -e) * rates[(y, x)]
+        along, against = forward, backward
     return along, against
 
 
@@ -475,11 +482,75 @@ def balance_network(net: ReactionNetwork) -> ReactionNetwork:
 
 
 # ---------------------------------------------------------------------------
+# rate matrix
+
+# largest column sum of a rate matrix accepted as zero, relative to its
+# largest entry magnitude (or to 1 when that is smaller)
+COLUMN_SUM_TOL = 1e-9
+
+
+def rate_entries(net: ReactionNetwork) -> dict[tuple[int, int], float]:
+    """Nonzero entries ``{(i, j): M[i, j]}`` of the rate matrix of a first-order network.
+
+    ``dC/dt = M C``: a reaction ``u -> v`` adds its rate to ``M[v, u]`` and
+    subtracts it from ``M[u, u]``, and a reversible one then does the same
+    for ``v -> u``.  Each entry sums from 0.0 in reaction order, so parallel
+    reactions round as they would in a dense accumulation.  ``M`` is
+    assembled here alone: :func:`~kinvar.linear.build_rate_matrix` fills an
+    array from these entries and ``kinvar prove`` nested lists, so the proof
+    needs no numpy; each checks the signs and column sums of its form of ``M``.
+
+    Raises :class:`NetworkValidationError` for a network that is not all
+    first order, and ``ValueError``, naming the species, when an entry
+    overflows the float range.
+    """
+    _require_first_order(net, "a rate matrix")
+    diag = [0.0] * net.n
+    entries: dict[tuple[int, int], float] = {}  # the off-diagonal ones first
+    get = entries.get
+    for rxn in net.reactions:
+        (u, _), = rxn.reactants
+        (v, _), = rxn.products
+        k = rxn.k_forward
+        entries[v, u] = get((v, u), 0.0) + k
+        diag[u] -= k
+        k = rxn.k_backward
+        if k > 0.0:
+            entries[u, v] = get((u, v), 0.0) + k
+            diag[v] -= k
+    entries.update(((i, i), x) for i, x in enumerate(diag) if x)
+    if not all(map(math.isfinite, entries.values())):
+        (i, j), x = next(item for item in entries.items() if not math.isfinite(item[1]))
+        names = net.names
+        what = (f"the total rate out of {names[j]!r}" if i == j
+                else f"the rate {names[j]!r} -> {names[i]!r}")
+        raise ValueError(f"{what} is not finite ({x})")
+    return entries
+
+
+def check_rate_rows(rows: list) -> None:
+    """Reject a square rate matrix, as nested lists, that is no generator.
+
+    The checks of ``linear.RateMatrix`` on an array: ``ValueError`` for a
+    negative off-diagonal entry, or a column sum beyond ``COLUMN_SUM_TOL``
+    times the largest entry magnitude (or 1, when that is smaller).
+    """
+    n = len(rows)
+    if any(rows[i][j] < 0.0 for i in range(n) for j in range(n) if i != j):
+        raise ValueError("negative off-diagonal rate")
+    scale = max(1.0, max((abs(x) for row in rows for x in row), default=0.0))
+    if any(abs(sum(row[j] for row in rows)) > COLUMN_SUM_TOL * scale for j in range(n)):
+        raise ValueError("columns of a rate matrix must sum to zero")
+
+
+# ---------------------------------------------------------------------------
 # stoichiometry
 
 
 def stoichiometric_matrix(net: ReactionNetwork) -> np.ndarray:
     """Net stoichiometric matrix, species x reactions."""
+    import numpy as np
+
     N = np.zeros((net.n, len(net.reactions)))
     for r, rxn in enumerate(net.reactions):
         for i, nu in rxn.reactants:
@@ -499,6 +570,8 @@ def conservation_vector(net: ReactionNetwork) -> np.ndarray:
     solves the linear program of :func:`_lp_conservation_vector`.  Raises
     :class:`ConservationError` when no positive weights exist.
     """
+    import numpy as np
+
     w = _coefficient_tree_weights(net)
     if w is None:
         log.debug("conservation weights: linear program (a reaction has several "
@@ -547,6 +620,7 @@ def _coefficient_tree_weights(net: ReactionNetwork) -> list[float] | None:
 
 def _lp_conservation_vector(net: ReactionNetwork) -> np.ndarray:
     """Conservation weights of least sum subject to ``w >= 1``, by a linear program."""
+    import numpy as np
     from scipy.optimize import linprog
 
     N = stoichiometric_matrix(net)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import logging
 import math
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from kinvar import butene_cycle, first_order_network, save_network
-from kinvar.cli import main, parse_scenario
+from kinvar.cli import main
+from kinvar.scenario import parse_scenario
 
 
 def _scenario(**overrides) -> dict:
@@ -33,6 +35,11 @@ def _scenario(**overrides) -> dict:
     }
     scn.update(overrides)
     return scn
+
+
+def _rxn(reactant, product, kf, kb):
+    return {"reactants": [reactant], "products": [product],
+            "k_forward": kf, "k_backward": kb}
 
 
 def _write_scenario(tmp_path, name="scn.json", **overrides):
@@ -327,6 +334,37 @@ def test_overflowing_equilibrium_constant_exits_2(tmp_path, capsys):
         "error: equilibrium constant of 'A' -> 'B' overflows a float\n"
 
 
+@pytest.mark.parametrize("field, value", [("a0", math.inf), ("a0", -math.inf),
+                                          ("b0", math.nan)])
+def test_non_finite_priming_amount_exits_2(tmp_path, capsys, field, value):
+    # the linear engine never reads the amounts, so only the parser sees them
+    cfg = _write_scenario(tmp_path, experiment={"a": "A", "b": "B", field: value})
+    assert main(["invariants", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: experiment {field} must be finite, got {value!r}\n"
+
+
+# A drains into B and C at 1e308 each: the diagonal entry -2e308 of the
+# rate matrix overflows to -inf
+_OVERFLOWING_OUTFLOW = {"species": ["A", "B", "C"],
+                        "reactions": [_rxn(["A", 1], ["B", 1], 1e308, 1.0),
+                                      _rxn(["A", 1], ["C", 1], 1e308, 1.0)]}
+
+
+@pytest.mark.parametrize("command", ["prove", "invariants"])
+def test_overflowing_total_rate_exits_2(tmp_path, capsys, command):
+    if command == "prove":
+        cfg = tmp_path / "net.json"
+        cfg.write_text(json.dumps(_OVERFLOWING_OUTFLOW))
+        argv = ["prove", "--pair", "A,B"]
+    else:
+        cfg = _write_scenario(tmp_path, network=_OVERFLOWING_OUTFLOW)
+        argv = ["invariants", "--tol", "1"]
+    assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        "error: the total rate out of 'A' is not finite (-inf)\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_network_file_must_be_a_path_exits_2(tmp_path, capsys):
     cfg = _write_scenario(tmp_path)
     scn = json.loads(cfg.read_text())
@@ -408,11 +446,6 @@ def test_closed_form_engine_rejects_odd_topology(tmp_path, capsys):
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
                "--engine", "closed-form"])
     assert rc == 2
-
-
-def _rxn(reactant, product, kf, kb):
-    return {"reactants": [reactant], "products": [product],
-            "k_forward": kf, "k_backward": kb}
 
 
 _CLOSED_FORM_SHAPES = {
@@ -571,6 +604,20 @@ def test_first_order_commands_never_import_scipy(tmp_path, command):
     assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
 
 
+@pytest.mark.parametrize("command", ["prove", "prove-balance", "balance"])
+def test_network_commands_never_import_numpy(tmp_path, command):
+    # the proof runs on exact integers and balancing on float rate maps
+    net = (first_order_network(["A", "B", "C"], [("A", "B", 2.0, 1.0), ("B", "C", 3.0, 0.0)])
+           if command == "prove" else butene_cycle())
+    save_network(net, tmp_path / "net.json")
+    argv = {"prove": ["prove", "--pair", "A,B"],
+            "prove-balance": ["prove", "--balance", "--pair", "cis-2-butene,1-butene"],
+            "balance": ["balance"]}[command]
+    modules = _modules_after(argv + ["--config", str(tmp_path / "net.json"),
+                                     "--out", str(tmp_path / "o")])
+    assert "numpy" not in modules
+
+
 # one-field mutations of a 2A <=> B and of the defective first-order
 # scenario; the exit-code contract is 0 ok, 1 verdict failed, 2 bad input,
 # 3 numerical failure, and never an uncaught exception (a traceback, exit 1)
@@ -628,3 +675,41 @@ def test_one_field_mutations_keep_the_exit_code_contract(tmp_path, capsys, base,
     rc = main(command + ["--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc in (0, 1, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# every one-field mutation of two network files under the commands that read
+# them: an unbalanced three-cycle and the overflowing outflow; the contract is
+# the same, and the 1200 runs take about a second
+_NETWORK_FUZZ_BASES = [
+    {"species": ["A", "B", "C"],
+     "reactions": [_rxn(["A", 1], ["B", 1], 2.0, 1.0), _rxn(["B", 1], ["C", 1], 3.0, 0.5),
+                   _rxn(["C", 1], ["A", 1], 1.0, 4.0)]},
+    _OVERFLOWING_OUTFLOW,
+]
+_NETWORK_FUZZ_FIELDS = [
+    ("network",), ("network", "species"), ("network", "reactions"),
+    ("network", "reactions", 0), ("network", "reactions", 0, "reactants"),
+    ("network", "reactions", 0, "products"), ("network", "reactions", 0, "k_forward"),
+    ("network", "reactions", 0, "k_backward"), ("network", "reactions", 1, "k_forward"),
+    ("network", "reactions", 1, "k_backward"),
+]
+
+
+def test_network_file_mutations_keep_the_exit_code_contract(tmp_path, capsys):
+    cfg = tmp_path / "net.json"
+    broken = []
+    for base, path, value, command in itertools.product(
+            _NETWORK_FUZZ_BASES, _NETWORK_FUZZ_FIELDS, _FUZZ_VALUES,
+            [["prove", "--pair", "A,B"], ["prove", "--balance", "--pair", "B,C"],
+             ["balance"]]):
+        cfg.write_text(json.dumps(_mutated({"network": base}, path, value).get("network")))
+        case = (_NETWORK_FUZZ_BASES.index(base), path, value, command[:2])
+        try:
+            rc = main(command + ["--config", str(cfg), "--out", str(tmp_path / "o")])
+        except Exception as exc:  # every escape is a finding
+            broken.append((*case, repr(exc)))
+            continue
+        if rc not in (0, 1, 2, 3):
+            broken.append((*case, rc))
+    capsys.readouterr()
+    assert broken == []

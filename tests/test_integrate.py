@@ -20,7 +20,7 @@ from kinvar import (
     simulate_linear,
 )
 from kinvar import _kernels
-from kinvar.integrate import pack_network
+from kinvar.integrate import pack_network, primed_amounts
 
 
 def _ab2(kp=3.0, km=1.0):
@@ -118,6 +118,15 @@ def test_dual_experiment_nonlinear_rejects_mismatched_totals():
         dual_experiment_nonlinear(net, 0, 1, a0=1.0, b0=1.0, times=times)
     # the message should name both conserved totals
     assert "1" in str(err.value) and "2" in str(err.value)
+
+
+@pytest.mark.parametrize("a0", [np.inf, -np.inf, np.nan])
+def test_primed_amounts_reject_a_non_finite_total(a0):
+    # the partner amount follows a0, so both totals are non-finite and their
+    # difference is NaN, which no "> tolerance" test catches
+    net = _ab2()
+    with pytest.raises(ConservationError):
+        primed_amounts(net, conservation_vector(net), 0, 1, a0)
 
 
 def test_integrate_matches_nonlinear_2A_B_closed_form():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import balanced_integer_network
+from conftest import balanced_integer_network, parallel_path_network
 
 from kinvar import (
     MultipleEquilibriaError,
@@ -19,6 +19,7 @@ from kinvar import (
     simulate_linear,
 )
 from kinvar import linear
+from kinvar.network import check_rate_rows
 
 
 def _ab(kf=2.0, kb=1.0):
@@ -39,9 +40,56 @@ def test_rate_matrix_merges_parallel_edges():
     np.testing.assert_allclose(M.entries, [[-3.0, 0.75], [3.0, -0.75]])
 
 
+def _accumulated_rate_matrix(net):
+    """The dense ``np.zeros`` / ``+=`` accumulation that ``rate_entries`` replaced."""
+    m = np.zeros((net.n, net.n))
+    for rxn in net.reactions:
+        u = rxn.reactants[0][0]
+        v = rxn.products[0][0]
+        m[v, u] += rxn.k_forward
+        m[u, u] -= rxn.k_forward
+        if rxn.reversible:
+            m[u, v] += rxn.k_backward
+            m[v, v] -= rxn.k_backward
+    return m
+
+
+def _random_float_network(n, seed):
+    """``3 n`` random steps on ``n`` species with decimal-like float rates,
+    a fifth of them irreversible; some pairs get parallel steps."""
+    rng = np.random.default_rng(seed)
+    names = [f"S{i}" for i in range(n)]
+    edges = []
+    for _ in range(3 * n):
+        u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+        kb = float(rng.uniform(0.01, 10.0)) if rng.random() < 0.8 else 0.0
+        edges.append((names[u], names[v], float(rng.uniform(0.01, 10.0)), kb))
+    return first_order_network(names, edges)
+
+
+@pytest.mark.parametrize("net", [parallel_path_network(), butene_cycle(),
+                                 _random_float_network(200, 7)],
+                         ids=["parallel-paths", "butene", "random-200"])
+def test_rate_matrix_is_bit_identical_to_dense_accumulation(net):
+    m = build_rate_matrix(net).entries
+    assert m.tobytes() == _accumulated_rate_matrix(net).tobytes()
+
+
 def test_rate_matrix_rejects_negative_off_diagonal():
     with pytest.raises(ValueError):
         RateMatrix(np.array([[-1.0, -0.5], [1.0, 0.5]]))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[-1.0, -0.5], [1.0, 0.5]], "negative off-diagonal"),
+    ([[-1.0, 2.0], [1.0, -1.0]], "sum to zero"),
+])
+def test_nested_list_rate_matrix_gets_the_array_checks(rows, message):
+    # kinvar prove checks its nested-list matrix as RateMatrix checks an array
+    with pytest.raises(ValueError, match=message):
+        RateMatrix(np.array(rows))
+    with pytest.raises(ValueError, match=message):
+        check_rate_rows(rows)
 
 
 def test_simulate_matches_exponential_relaxation():

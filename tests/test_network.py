@@ -223,6 +223,15 @@ def test_cycle_products_survive_float_overflow():
     assert check_cycle_conditions(balanced).max_mismatch <= 1e-12
 
 
+@pytest.mark.parametrize("k_forward, k_backward", [(5e-324, 1.0), (2.0, 1e308)])
+def test_cycle_products_survive_a_ratio_beyond_the_float_range(k_forward, k_backward):
+    # the products along and against the cycle differ by more than the float
+    # range, so one of them must underflow rather than the other overflow
+    net = first_order_network(list("ABC"), [("A", "B", k_forward, k_backward),
+                                            ("B", "C", 3.0, 0.5), ("C", "A", 1.0, 4.0)])
+    assert check_cycle_conditions(net).max_mismatch == pytest.approx(1.0)
+
+
 def test_balance_network_without_cycles_is_identity():
     net = first_order_network(
         ["A", "B", "C"], [("A", "B", 2.0, 1.0), ("B", "C", 3.0, 4.0)]
