@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -102,6 +103,59 @@ def _symmetric_form(m: np.ndarray):
         return None, None, f"detailed balance off by {mismatch:.3e}"
     S = np.sqrt(off * off.T) + np.diag(np.diag(m))
     return S, np.sqrt(h), f"detailed balance holds to {mismatch:.3e}"
+
+
+def _read_only(a):
+    if a is not None:
+        a.flags.writeable = False
+    return a
+
+
+class _Spectrum:
+    """Spectral data of one generator, each part computed on first use and read-only.
+
+    ``m`` views the key's bytes, so later edits to the caller's array cannot reach it.
+    """
+
+    def __init__(self, key: tuple):
+        self.key = key
+        self.m = np.frombuffer(key[1]).reshape(key[0])
+
+    @cached_property
+    def form(self):
+        S, root_h, why = _symmetric_form(self.m)
+        return _read_only(S), _read_only(root_h), why
+
+    @cached_property
+    def grid_eigenvalues(self) -> np.ndarray:
+        # eigvalsh, not the eigenvalues of eigh: LAPACK computes the two by
+        # different routines, and the grid would move with their last bits
+        S = self.form[0]
+        return _read_only(np.linalg.eigvals(self.m) if S is None else np.linalg.eigvalsh(S))
+
+    @cached_property
+    def eigh(self) -> tuple:
+        lam, Q = np.linalg.eigh(self.form[0])
+        return _read_only(lam), _read_only(Q)
+
+
+# one slot: callers run one generator at a time (the grid, then each dual
+# experiment on it), and a slot per generator seen would keep every
+# decomposition alive, about 1 MB each at n = 200
+_last_spectrum: _Spectrum | None = None
+
+
+def _spectrum(m: np.ndarray) -> _Spectrum:
+    """Spectral data of ``m``, shared while consecutive calls pass equal generators.
+
+    The key is the shape and all bytes of the entries, so an array edited in
+    place misses and an equal one rebuilt elsewhere hits.
+    """
+    global _last_spectrum
+    key = (m.shape, m.tobytes())
+    if _last_spectrum is None or _last_spectrum.key != key:
+        _last_spectrum = _Spectrum(key)
+    return _last_spectrum
 
 
 def _growth(times: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -203,13 +257,17 @@ def _propagators(M: RateMatrix, times: np.ndarray, C0: np.ndarray) -> np.ndarray
     :func:`_shifted_series_propagators` per grid point, which also covers
     defective spectra (e.g. equal-rate irreversible chains) and needs no
     scipy.  The path taken and the reason are logged at DEBUG level; the
-    last path keeps the label ``expm``.
+    last path keeps the label ``expm``.  The ``eigh`` path reads its
+    decomposition from :func:`_spectrum` and logs whether an earlier call on
+    the same generator computed it.
     """
     m = M.entries
-    S, root_h, why = _symmetric_form(m)
+    spectrum = _spectrum(m)
+    S, root_h, why = spectrum.form
     if S is not None:
-        log.debug("propagator eigh: %s", why)
-        lam, Q = np.linalg.eigh(S)
+        state = "reused" if "eigh" in vars(spectrum) else "computed"
+        log.debug("propagator eigh: %s; decomposition %s", why, state)
+        lam, Q = spectrum.eigh
         # S is negative semidefinite; a roundoff-positive eigenvalue would
         # grow without bound over long horizons
         growth = _growth(times, np.minimum(lam, 0.0))
@@ -292,9 +350,7 @@ def default_time_grid(M: RateMatrix, points: int = 400) -> np.ndarray:
     the ``t_max`` it names instead; both start three decades below their
     scale.
     """
-    S, _, _ = _symmetric_form(M.entries)
-    lam = np.linalg.eigvals(M.entries) if S is None else np.linalg.eigvalsh(S)
-    mags = np.abs(lam)
+    mags = np.abs(_spectrum(M.entries).grid_eigenvalues)
     nonzero = mags[mags > 1e-12 * max(1.0, mags.max())]
     if len(nonzero) == 0:
         raise ValueError("rate matrix has no nonzero eigenvalue")

@@ -434,17 +434,29 @@ def check_cycle_conditions(net: ReactionNetwork, tol: float = 1e-9) -> CycleCond
     return CycleConditionReport(tuple(cycles), tol)
 
 
-def balanced_rates(n: int, rates) -> dict:
+def balanced_rates(n: int, rates, names=None) -> dict:
     """Copy of a rate map on which every reversible cycle condition holds.
 
     Each basis cycle ``u -> v -> ... -> u`` closes on its non-tree edge
     ``(u, v)``; ``k(v -> u)`` is multiplied by the cycle's product along over
     its product against.  The cycles share no non-tree edge, so one pass
     balances them all, in the arithmetic of ``rates``.
+
+    Raises :class:`BalanceError`, naming the cycle by ``names`` (indices by
+    default), when a rescaled float rate overflows or underflows to 0.
     """
     out = dict(rates)
-    for (u, v, *_), along, against in cycle_products(n, rates):
-        out[(v, u)] = rates[(v, u)] * along / against
+    for cycle, along, against in cycle_products(n, rates):
+        u, v = cycle[0], cycle[1]
+        # a float product against that underflowed to 0 sends the rate past the range
+        k = rates[(v, u)] * along / against if against else math.inf
+        if not 0 < k < math.inf:
+            label = names or range(n)
+            raise BalanceError(
+                f"balancing the cycle {' -> '.join(label[i] for i in cycle)} takes "
+                f"k({label[v]} -> {label[u]}) = {rates[(v, u)]!r} to {k!r}, "
+                f"outside the float range")
+        out[(v, u)] = k
     return out
 
 
@@ -458,7 +470,8 @@ def balance_network(net: ReactionNetwork) -> ReactionNetwork:
     factor.  A network whose cycle products agree exactly comes back unchanged.
 
     Raises :class:`BalanceError` when some cycle of the full reaction graph
-    contains an irreversible step (its backward product is pinned at zero).
+    contains an irreversible step (its backward product is pinned at zero),
+    or when a rescaled rate leaves the float range.
     """
     _require_first_order(net, "balance_network")
     rates = merged_rates(net)
@@ -466,7 +479,7 @@ def balance_network(net: ReactionNetwork) -> ReactionNetwork:
         steps = zip(cycle, cycle[1:])
         if any((x, y) not in rates or (y, x) not in rates for x, y in steps):
             raise BalanceError("cycle contains an irreversible step; cannot balance")
-    k = balanced_rates(net.n, rates)
+    k = balanced_rates(net.n, rates, net.names)
 
     def rescaled(pair, old: float) -> float:
         if old == 0.0 or k[pair] == rates[pair]:

@@ -1,5 +1,6 @@
 import logging
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -328,6 +329,85 @@ def test_propagator_path_is_logged(caplog, path):
     taken, reason = records[0].split(": ", 1)
     assert taken == f"propagator {path}"
     assert reason
+
+
+def _forget_spectrum(monkeypatch):
+    monkeypatch.setattr(linear, "_last_spectrum", None)
+
+
+def test_propagator_log_says_whether_the_decomposition_was_reused(caplog, monkeypatch):
+    _forget_spectrum(monkeypatch)
+    net = _PATH_CASES["eigh"]
+    with caplog.at_level(logging.DEBUG, logger="kinvar.linear"):
+        times = default_time_grid(build_rate_matrix(net))
+        dual_experiment(net, 0, 1, times)
+        dual_experiment(net, 1, 2, times)
+    records = [r.getMessage() for r in caplog.records if r.name == "kinvar.linear"]
+    assert [r.rsplit("; ", 1)[1] for r in records] == ["decomposition computed",
+                                                       "decomposition reused"]
+
+
+def test_grid_and_dual_experiments_share_one_decomposition(monkeypatch):
+    calls = Counter()
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _name=name, _real=getattr(np.linalg, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    _forget_spectrum(monkeypatch)
+    net = _BALANCED[1]
+    times = default_time_grid(build_rate_matrix(net))
+    for a, b in ((0, 1), (2, 3), (0, net.n - 1)):
+        dual_experiment(net, a, b, times)
+    assert calls == {"eigh": 1, "eigvalsh": 1}
+
+
+def _outputs(net, M):
+    """Grid of ``M``, the dual experiment of ``net`` on it, then ``M``'s propagators."""
+    times = default_time_grid(M)
+    dual = dual_experiment(net, 0, 1, times)
+    out = linear._propagators(M, times, np.eye(net.n)[:, [0, net.n - 1]])
+    return times, dual.from_a.concentrations, dual.from_b.concentrations, out
+
+
+def _same(got, want):
+    return all(np.array_equal(x, y) for x, y in zip(got, want, strict=True))
+
+
+_MEMO_CASES = {"n50": _BALANCED[1], "n200": _BALANCED[2],
+               "butene-balanced": _PATH_CASES["eigh"], "defective": _PATH_CASES["expm"]}
+
+
+@pytest.mark.parametrize("name", _MEMO_CASES)
+def test_spectral_memo_gives_the_cold_arrays(monkeypatch, name):
+    net, other = _MEMO_CASES[name], _BALANCED[0]
+    _forget_spectrum(monkeypatch)
+    cold = _outputs(net, build_rate_matrix(net))
+    assert _same(_outputs(net, build_rate_matrix(net)), cold)  # all from the memo
+    # alternating with another network: every call finds the other's data
+    M, M_other = build_rate_matrix(net), build_rate_matrix(other)
+    times = default_time_grid(M)
+    default_time_grid(M_other)
+    dual = dual_experiment(net, 0, 1, times)
+    dual_experiment(other, 0, 1, default_time_grid(M_other))
+    out = linear._propagators(M, times, np.eye(net.n)[:, [0, net.n - 1]])
+    assert _same((times, dual.from_a.concentrations, dual.from_b.concentrations, out), cold)
+    # an array edited in place holds a new generator; the dual experiment
+    # rebuilds the unedited one between the edited grid and propagators
+    default_time_grid(M)
+    M.entries[:] *= 2.0
+    edited = _outputs(net, M)
+    _forget_spectrum(monkeypatch)
+    assert _same(edited, _outputs(net, RateMatrix(M.entries.copy())))
+    assert not np.array_equal(edited[0], cold[0])
+
+
+def test_cached_spectral_arrays_refuse_writes():
+    spectrum = linear._spectrum(build_rate_matrix(_BALANCED[0]).entries)
+    S, root_h, _ = spectrum.form
+    for cached in (spectrum.m, S, root_h, spectrum.grid_eigenvalues, *spectrum.eigh):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 1.0
 
 
 def test_bad_grid_fails_before_propagation(monkeypatch):
