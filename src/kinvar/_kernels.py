@@ -7,21 +7,52 @@ flattens a network into a tuple of terms ``(k, factors, changes)``, one per
 reaction direction with a positive rate constant: the term's rate is ``k``
 times the product of ``c[i]`` over ``factors``, which lists each rate-law
 species once per unit of its power, and each ``(i, coeff)`` in ``changes``
-adds ``coeff * rate`` to ``dc[i]/dt``.
+adds ``coeff * rate`` to ``dc/dt[i]``.
 
-The step loop holds the state, the seven stages and the tableau as lists of
-Python floats. The systems here are small (2-40 species), so indexing numpy
-arrays element by element would box every read as a numpy scalar at several
-times the cost of a float operation, and whole-array numpy operations would
-pay their per-call overhead on two or three entries. Python floats are IEEE
-doubles like float64, and every sum and product below runs in a fixed
-order, so the trajectories are bit-identical to the same loops run over
-numpy arrays.
+:func:`integrate_dp54` is one step controller in plain Python: the starting
+step, the PI step-size control, rejections, the negative-concentration and
+step-underflow stops and the output loop. The per-species work of a step runs
+in nine small functions generated from the *shape* of the terms, ``n`` and
+every term's ``(factors, changes)``: ``rhs``, ``stage1`` to ``stage5`` (a
+stage input followed by the right-hand side at it), ``stage6`` (the new state
+and its right-hand side), ``error`` (the scaled error norm) and ``dense``
+(one output row by the quartic interpolant). Each is straight-line code over
+tuples of Python floats. The systems here are small (2-40 species): indexing
+numpy arrays element by element would box every read as a numpy scalar, and
+list comprehensions over ``zip`` pay the interpreter's per-element overhead
+several times over on two or three entries. The generated source holds only
+integer indices, the ``repr`` of the stoichiometric increments and the
+Dormand-Prince coefficients, never a name from the input; rate constants and
+tolerances are bound when a run starts, through a maker
+``mk(rates, atol, rtol)`` that returns the function as a closure, so one
+compiled set serves every network of one shape, whatever its rates.
+
+Each function is compiled as its own unit: at 40 species the largest unit
+peaks at 1.1 MB of compile memory, where one function holding all nine
+bodies peaks at 4.7 MB. The compiled makers sit in a least-recently-used
+cache of ``_CODE_SLOTS`` shapes. It holds code only, nothing a run computes,
+so every run does all its arithmetic and its result does not depend on what
+ran before. It has more than one slot because a caller that alternates a
+few shapes (the chain and the two dimerization shapes of one benchmark pass)
+would otherwise recompile on every switch: about 27 ms at 40 species, 2-3 ms
+for two or three.
+
+Python floats are IEEE doubles like float64. Every generated sum and product
+keeps the operand order of :func:`rhs_packed` and of the list-based loop the
+generated code replaced (kept in the tests as the reference), so every
+trajectory, step count and failure time is bit-identical to it.
 """
 
 from __future__ import annotations
 
+import functools
+import logging
+
 import numpy as np
+
+# the integrator's logger: the kernel's compile/reuse line sits beside the
+# per-run statistics line of kinvar.integrate
+log = logging.getLogger("kinvar.integrate")
 
 _EPS = 2.220446049250313e-16
 
@@ -75,6 +106,119 @@ def rhs_packed(c, terms, n):
     return out
 
 
+# ---------------------------------------------------------------------------
+# per-shape code generation
+
+# compiled shapes kept; a benchmark pass of the chain and the two
+# dimerization shapes needs three
+_CODE_SLOTS = 4
+_K_ALL = tuple(f"k{s}" for s in range(7))
+
+
+def _names(prefix, n):
+    return [f"{prefix}{i}" for i in range(n)]
+
+
+def _unpack(names, value):
+    return [f"{', '.join(names)}, = {value}"] if names else []
+
+
+def _tuple(items):
+    return f"({', '.join(items)},)"
+
+
+def _weighted(weights, i):
+    """``0.0 + w0 * k0_i + w1 * k1_i + ...``, summed in stage order."""
+    return " + ".join(["0.0"] + [f"{w!r} * k{s}_{i}" for s, w in enumerate(weights)])
+
+
+def _rhs_lines(layout, n, c):
+    """Lines setting the term rates at state names ``c``, and dc/dt as a tuple.
+
+    Each derivative adds its increments from 0.0 in term order, as
+    :func:`rhs_packed` does. ``rhs_packed`` skips a term whose rate is 0.0;
+    adding its signed zero changes nothing, because a sum started from 0.0 is
+    never -0.0. A unit increment is written as ``+ r`` or ``- r``, which
+    rounds exactly like ``1.0 * r`` or ``-1.0 * r``.
+    """
+    lines = [" * ".join([f"r{j} = q{j}"] + [c[int(i)] for i in factors])
+             for j, (factors, _) in enumerate(layout)]
+    sums = [["0.0"] for _ in range(n)]
+    for j, (_, changes) in enumerate(layout):
+        for i, co in changes:
+            co = float(co)
+            term = f"r{j}" if abs(co) == 1.0 else f"{abs(co)!r} * r{j}"
+            sums[int(i)].append(("- " if co < 0.0 else "+ ") + term)
+    return lines, _tuple(" ".join(s) for s in sums)
+
+
+def _unit(name, params, body, n_terms):
+    """Source of ``mk(rates, atol, rtol)``, which returns ``name`` as a closure."""
+    head = ["def mk(rates, atol, rtol):"]
+    head += ["    " + line for line in _unpack(_names("q", n_terms), "rates")]
+    head += [f"    def {name}({', '.join(params)}):"]
+    return "\n".join(head + ["        " + line for line in body]
+                     + [f"    return {name}", ""])
+
+
+def _sources(n, layout):
+    """``(name, source)`` of the nine per-species units of one shape."""
+    y, z, w = _names("y", n), _names("z", n), _names("w", n)
+
+    def unpack_k(stages):
+        return [line for s in range(stages) for line in _unpack(_names(f"k{s}_", n), f"k{s}")]
+
+    rhs_rates, rhs_out = _rhs_lines(layout, n, z)
+    yield "rhs", _unit("rhs", ["c"], _unpack(z, "c") + rhs_rates + [f"return {rhs_out}"],
+                       len(layout))
+    for s, weights in enumerate(_A, start=1):
+        stage = [f"{z[i]} = {y[i]} + h * ({_weighted(weights, i)})" for i in range(n)]
+        out = f"{_tuple(z)}, {rhs_out}" if s == 6 else rhs_out
+        body = _unpack(y, "y") + unpack_k(s) + stage + rhs_rates + [f"return {out}"]
+        yield f"stage{s}", _unit(f"stage{s}", ["y", *_K_ALL[:s], "h"], body, len(layout))
+    # the scaled error norm; the larger of |y_i| and |ynew_i| keeps |y_i| when
+    # |ynew_i| is NaN, as the comparison ``abs(yn) > ymag`` does
+    body = _unpack(y, "y") + _unpack(w, "w") + unpack_k(7) + ["err = 0.0"]
+    for i in range(n):
+        body += [f"u = abs({y[i]})", f"v = abs({w[i]})",
+                 f"err += (({_weighted(_E, i)}) * h / (atol + rtol * (v if v > u else u))) ** 2"]
+    body += [f"return (err / {n}) ** 0.5"]
+    yield "error", _unit("error", ["y", "w", *_K_ALL, "h"], body, len(layout))
+    body = [f"b{s} = theta * ({p0!r} + theta * ({p1!r} + theta * ({p2!r} + theta * {p3!r})))"
+            for s, (p0, p1, p2, p3) in enumerate(_P)]
+    body += _unpack(y, "y") + unpack_k(7)
+    rows = [f"{y[i]} + h * ({' + '.join(['0.0'] + [f'b{s} * k{s}_{i}' for s in range(7)])})"
+            for i in range(n)]
+    body += [f"return {_tuple(rows)}"]
+    yield "dense", _unit("dense", ["y", *_K_ALL, "h", "theta"], body, len(layout))
+
+
+def _compile(name, source):
+    namespace = {}
+    exec(compile(source, f"<dp54 {name}>", "exec"), namespace)
+    return namespace["mk"]
+
+
+@functools.lru_cache(maxsize=_CODE_SLOTS)
+def _makers(shape):
+    n, layout = shape
+    return tuple(_compile(name, source) for name, source in _sources(n, layout))
+
+
+def _kernel(terms, n, atol, rtol):
+    """The nine per-species functions for ``terms``, bound to their rates."""
+    misses = _makers.cache_info().misses
+    makers = _makers((n, tuple((factors, changes) for _, factors, changes in terms)))
+    state = "compiled" if _makers.cache_info().misses != misses else "reused"
+    log.debug("dp54 kernel for %d species and %d terms: %s", n, len(terms), state)
+    rates = tuple(k for k, _, _ in terms)
+    return [mk(rates, atol, rtol) for mk in makers]
+
+
+# ---------------------------------------------------------------------------
+# step controller
+
+
 def integrate_dp54(terms, c0, times, rtol, atol):
     """Integrate from times[0] = 0 to times[-1], filling every grid row.
 
@@ -95,8 +239,10 @@ def integrate_dp54(terms, c0, times, rtol, atol):
     if m == 1:
         return STATUS_OK, 0.0, np.array(rows), (0, 0, 0, h_min, h_max)
     t_end = times[m - 1]
+    rhs, stage1, stage2, stage3, stage4, stage5, stage6, error, dense = \
+        _kernel(terms, n, atol, rtol)
 
-    f0 = rhs_packed(y, terms, n)
+    f0 = rhs(y)
     evals += 1
 
     # starting step: scaled magnitudes of y and f, refined by an Euler probe
@@ -118,7 +264,7 @@ def integrate_dp54(terms, c0, times, rtol, atol):
         # an overflowing rate leaves no usable starting step
         rows.extend([float("nan")] * n for _ in range(m - 1))
         return STATUS_STEP_UNDERFLOW, 0.0, np.array(rows), (0, 0, evals, h_min, h_max)
-    f1 = rhs_packed([yi + h0 * fi for yi, fi in zip(y, f0)], terms, n)
+    f1 = rhs([yi + h0 * fi for yi, fi in zip(y, f0)])
     evals += 1
     d2 = 0.0
     for yi, fi, gi in zip(y, f0, f1):
@@ -134,9 +280,6 @@ def integrate_dp54(terms, c0, times, rtol, atol):
     if h > t_end:
         h = t_end
 
-    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
-        (a50, a51, a52, a53, a54), (a60, a61, a62, a63, a64, a65) = _A
-    e0, e1, e2, e3, e4, e5, e6 = _E
     k0 = f0
     floor = -10.0 * atol
     t = 0.0
@@ -152,36 +295,14 @@ def integrate_dp54(terms, c0, times, rtol, atol):
             status = STATUS_STEP_UNDERFLOW
             break
 
-        # stage sums, each accumulated from 0.0 in tableau order
-        k1 = rhs_packed([yi + h * (0.0 + a10 * x0) for yi, x0 in zip(y, k0)],
-                        terms, n)
-        k2 = rhs_packed([yi + h * (0.0 + a20 * x0 + a21 * x1)
-                         for yi, x0, x1 in zip(y, k0, k1)], terms, n)
-        k3 = rhs_packed([yi + h * (0.0 + a30 * x0 + a31 * x1 + a32 * x2)
-                         for yi, x0, x1, x2 in zip(y, k0, k1, k2)], terms, n)
-        k4 = rhs_packed([yi + h * (0.0 + a40 * x0 + a41 * x1 + a42 * x2 + a43 * x3)
-                         for yi, x0, x1, x2, x3 in zip(y, k0, k1, k2, k3)], terms, n)
-        k5 = rhs_packed([yi + h * (0.0 + a50 * x0 + a51 * x1 + a52 * x2 + a53 * x3
-                                   + a54 * x4)
-                         for yi, x0, x1, x2, x3, x4 in zip(y, k0, k1, k2, k3, k4)],
-                        terms, n)
-        ynew = [yi + h * (0.0 + a60 * x0 + a61 * x1 + a62 * x2 + a63 * x3 + a64 * x4
-                          + a65 * x5)
-                for yi, x0, x1, x2, x3, x4, x5 in zip(y, k0, k1, k2, k3, k4, k5)]
-        k6 = rhs_packed(ynew, terms, n)
+        k1 = stage1(y, k0, h)
+        k2 = stage2(y, k0, k1, h)
+        k3 = stage3(y, k0, k1, k2, h)
+        k4 = stage4(y, k0, k1, k2, k3, h)
+        k5 = stage5(y, k0, k1, k2, k3, k4, h)
+        ynew, k6 = stage6(y, k0, k1, k2, k3, k4, k5, h)
         evals += 6
-        K = (k0, k1, k2, k3, k4, k5, k6)
-
-        err = 0.0
-        for yi, yn, x0, x1, x2, x3, x4, x5, x6 in zip(y, ynew, *K):
-            e = (0.0 + e0 * x0 + e1 * x1 + e2 * x2 + e3 * x3 + e4 * x4 + e5 * x5
-                 + e6 * x6) * h
-            ymag = abs(yi)
-            if abs(yn) > ymag:
-                ymag = abs(yn)
-            sc = atol + rtol * ymag
-            err += (e / sc) ** 2
-        err = (err / n) ** 0.5
+        err = error(y, ynew, k0, k1, k2, k3, k4, k5, k6, h)
 
         if err > 1.0:
             fac11 = err ** 0.17
@@ -209,12 +330,7 @@ def integrate_dp54(terms, c0, times, rtol, atol):
             if theta >= 1.0 - 1e-12:
                 rows.append(ynew)
             else:
-                b0, b1, b2, b3, b4, b5, b6 = [
-                    theta * (p0 + theta * (p1 + theta * (p2 + theta * p3)))
-                    for p0, p1, p2, p3 in _P]
-                rows.append([yi + h * (0.0 + b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3
-                                       + b4 * x4 + b5 * x5 + b6 * x6)
-                             for yi, x0, x1, x2, x3, x4, x5, x6 in zip(y, *K)])
+                rows.append(dense(y, k0, k1, k2, k3, k4, k5, k6, h, theta))
             next_out += 1
 
         # PI controller (Hairer's DOPRI5 coefficients)

@@ -168,12 +168,19 @@ def _growth(times: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def _eig_propagators(m: np.ndarray, times: np.ndarray, C0: np.ndarray):
     """``(propagators, None)`` by complex diagonalization, or ``(None, reason)``.
 
-    The eigendecomposition is rejected when it does not reproduce ``M`` or
-    its eigenvectors are too ill-conditioned to invert.
+    The eigendecomposition is rejected when its residual is not finite or
+    does not reproduce ``M``, or when its eigenvectors are too ill-conditioned
+    to invert.
     """
     lam, V = np.linalg.eig(m)
-    residual = np.linalg.norm(m @ V - V * lam)
-    scale = max(1.0, np.linalg.norm(m))
+    # rates near the float range (1e308 on a defective chain) overflow these
+    # norms: a non-finite residual rejects the decomposition, and an infinite
+    # scale accepts any finite residual, both without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.linalg.norm(m @ V - V * lam)
+        scale = max(1.0, np.linalg.norm(m))
+    if not math.isfinite(residual):
+        return None, "eigen residual is not finite"
     if residual > _EIG_RESIDUAL_TOL * scale:
         return None, f"eigen residual {residual:.3e} exceeds {_EIG_RESIDUAL_TOL:g} * {scale:.3e}"
     # a defective spectrum still satisfies the eigen-equation column by

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -179,10 +180,13 @@ def parse_scenario(data: dict, base_dir: Path = Path(".")) -> Scenario:
             raise ConfigError(f"invariant pair {pair!r} must name two network "
                               "species")
         K = item.get("expected_K")
-        requests.append(InvariantRequest(
-            kind, (pair[0], pair[1]),
-            None if K is None else config_number(K, "invariant expected_K"),
-        ))
+        if K is not None:
+            K = config_number(K, "invariant expected_K")
+            # a subnormal K overflows the ratios divided by it
+            if 0.0 < K < sys.float_info.min:
+                raise ConfigError(f"invariant expected_K {K!r} is below the smallest "
+                                  f"normal float {sys.float_info.min!r}")
+        requests.append(InvariantRequest(kind, (pair[0], pair[1]), K))
 
     engine = data.get("engine", "auto")
     if engine not in ("auto", "linear", "nonlinear", "closed-form"):

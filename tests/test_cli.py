@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -333,6 +334,18 @@ def test_overflowing_equilibrium_constant_exits_2(tmp_path, capsys):
         "error: equilibrium constant of 'A' -> 'B' overflows a float\n"
 
 
+@pytest.mark.parametrize("command", ["simulate", "invariants"])
+def test_subnormal_expected_K_exits_2(tmp_path, capsys, command):
+    # 5e-324 is positive, but the ratios divided by it overflow
+    cfg = _write_scenario(tmp_path, invariants=[
+        {"kind": "linear_ratio", "pair": ["A", "B"], "expected_K": 5e-324}])
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: invariant expected_K 5e-324 is below the smallest normal float "
+        "2.2250738585072014e-308\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("field, value", [("a0", math.inf), ("a0", -math.inf),
                                           ("b0", math.nan)])
 def test_non_finite_priming_amount_exits_2(tmp_path, capsys, field, value):
@@ -606,6 +619,22 @@ def test_defective_chain_scenario_takes_the_expm_fallback(tmp_path, caplog):
             if r.name == "kinvar.linear"] == ["propagator expm"]
 
 
+@pytest.mark.parametrize("field, command, code", [
+    ("k_forward", ["simulate"], 0), ("k_forward", ["invariants", "--tol", "1e-3"], 3),
+    ("k_backward", ["simulate"], 0), ("k_backward", ["invariants", "--tol", "1e-3"], 0)],
+    ids=["forward-simulate", "forward-invariants", "backward-simulate", "backward-invariants"])
+def test_defective_chain_at_the_float_limit_runs_unwarned(tmp_path, field, command, code):
+    # a rate of 1e308 overflows the norm of the rate matrix; the eig path is
+    # still rejected as defective and the exit code is unchanged
+    network = json.loads(json.dumps(_DEFECTIVE_CHAIN))
+    network["reactions"][0][field] = 1e308
+    cfg = _write_scenario(tmp_path, network=network)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(command + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    assert [str(w.message) for w in caught] == []
+
+
 @pytest.mark.parametrize("command", ["invariants", "prove", "invariants-defective",
                                      "simulate-defective"])
 def test_first_order_commands_never_import_scipy(tmp_path, command):
@@ -679,6 +708,7 @@ def _mutated(base: dict, path: tuple, value) -> dict:
     return scn
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_one_field_mutations_keep_the_exit_code_contract(tmp_path, capsys):
     cfg = tmp_path / "scn.json"
     broken = []
@@ -721,6 +751,7 @@ _NETWORK_FUZZ_FIELDS = [
 ]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_network_file_mutations_keep_the_exit_code_contract(tmp_path, capsys):
     cfg = tmp_path / "net.json"
     broken = []

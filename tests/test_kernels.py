@@ -1,0 +1,218 @@
+"""The generated per-shape Dormand-Prince kernel against its references.
+
+``rhs_packed`` is the reference right-hand side and ``dp54_reference`` the
+list-based loop the generated code replaced; both must be matched bit for
+bit, failure statuses included. The property tests check the integrator
+itself against the dimerization closed forms.
+"""
+
+import io
+import logging
+import re
+import tokenize
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import dp54_reference
+from kinvar import (
+    IntegratorConfig,
+    Reaction,
+    conservation_vector,
+    dual_experiment_nonlinear,
+    make_network,
+    nonlinear_2A_2B,
+    nonlinear_2A_B,
+)
+from kinvar import _kernels
+from kinvar.network import pack_network
+
+
+def _same_run(terms, c0, times, rtol, atol):
+    """Run both loops; assert equal status, failure time, rows and stats."""
+    got = _kernels.integrate_dp54(terms, c0, times, rtol, atol)
+    ref = dp54_reference.integrate_dp54(terms, c0, times, rtol, atol)
+    assert got[0] == ref[0]
+    assert repr(got[1]) == repr(ref[1])
+    assert got[2].shape == ref[2].shape and got[2].tobytes() == ref[2].tobytes()
+    assert repr(got[3]) == repr(ref[3])
+    return got
+
+
+def _dimer(kp, km, product_coeff):
+    return make_network(["A", "B"], [Reaction(((0, 2),), ((1, product_coeff),), kp, km)])
+
+
+def _stiff():
+    return make_network(["A", "B", "C"], [Reaction(((0, 2),), ((1, 1),), 1e4, 1e3),
+                                          Reaction(((1, 1),), ((2, 1),), 1e-2, 5e-3)])
+
+
+def _alternating_chain(n=40, seed=7):
+    # first-order steps with a second-order one every third link
+    rng = np.random.default_rng(seed)
+    reactions = [Reaction(((i, 2 if i % 3 == 0 else 1),), ((i + 1, 1),),
+                          *(float(k) for k in rng.uniform(0.5, 4.0, size=2)))
+                 for i in range(n - 1)]
+    return make_network([f"S{i}" for i in range(n)], reactions)
+
+
+def _geometric(t_max, points):
+    return np.concatenate(([0.0], np.geomspace(1e-3 * t_max, t_max, points - 1)))
+
+
+def _blow_up():
+    # d(a + b)/dt >= (a + b)^2 / 2: the steps shrink to nothing before t = 2
+    return make_network(["A", "B"], [Reaction(((0, 2),), ((1, 3),), 1.0, 0.0),
+                                     Reaction(((1, 2),), ((0, 3),), 1.0, 0.0)])
+
+
+# (network, initial state, grid, rel_tol, abs_tol)
+_CASES = {
+    "chain-from-first": (_alternating_chain(), np.eye(40)[0],
+                         _geometric(20.0, 200), 1e-8, 1e-11),
+    "chain-from-last": (_alternating_chain(), np.eye(40)[39] * 2.0 ** 13,
+                        _geometric(20.0, 200), 1e-8, 1e-11),
+    "2A<=>B": (_dimer(2.7, 0.6, 1), np.array([1.0, 0.0]), _geometric(10 / 0.6, 400),
+               1e-10, 1e-12),
+    "2A<=>B-from-B": (_dimer(2.7, 0.6, 1), np.array([0.0, 0.5]),
+                      _geometric(10 / 0.6, 400), 1e-10, 1e-12),
+    "2A<=>2B": (_dimer(0.9, 3.1, 2), np.array([1.0, 0.0]), _geometric(10 / 0.9, 400),
+                1e-10, 1e-12),
+    "stiff": (_stiff(), np.array([1.0, 0.0, 0.0]), _geometric(1.0, 200), 1e-6, 1e-12),
+    "stiff-from-B": (_stiff(), np.array([0.0, 0.5, 0.0]), _geometric(1.0, 200),
+                     1e-6, 1e-12),
+    "A+B<=>C,2C<=>A+B": (
+        make_network(["A", "B", "C"], [Reaction(((0, 1), (1, 1)), ((2, 1),), 2.0, 0.5),
+                                       Reaction(((2, 2),), ((0, 1), (1, 1)), 0.3, 0.0)]),
+        np.array([1.0, 0.7, 0.0]), _geometric(8.0, 60), 1e-10, 1e-12),
+    "negative": (_stiff(), np.array([1.0, 0.0, 0.0]),
+                 np.concatenate(([0.0], np.geomspace(1e-6, 1.0, 200))), 0.1, 1e-16),
+    "blow-up": (_blow_up(), np.array([1.0, 0.0]), _geometric(6.0, 51), 1e-10, 1e-12),
+    "one-point-grid": (_dimer(3.0, 1.0, 1), np.array([0.25, 0.5]), np.array([0.0]),
+                       1e-10, 1e-12),
+    "k_forward=1e308": (_dimer(1e308, 1.0, 1), np.array([1.0, 0.0]),
+                        _geometric(10.0, 25), 1e-10, 1e-12),
+}
+
+
+@pytest.mark.parametrize("case", list(_CASES))
+def test_kernel_is_bit_identical_to_the_list_loop(case):
+    net, c0, times, rtol, atol = _CASES[case]
+    status, *_ = _same_run(pack_network(net), c0, times, rtol, atol)
+    expected = {"negative": _kernels.STATUS_NEGATIVE, "blow-up": _kernels.STATUS_STEP_UNDERFLOW,
+                "k_forward=1e308": _kernels.STATUS_STEP_UNDERFLOW}
+    assert status == expected.get(case, _kernels.STATUS_OK)
+
+
+@st.composite
+def _mass_action_networks(draw):
+    """2-4 species, 1-4 irreversible steps of total order 1-3."""
+    n = draw(st.integers(2, 4))
+    reactions = []
+    for _ in range(draw(st.integers(1, 4))):
+        species = draw(st.permutations(range(n)))
+        powers = draw(st.sampled_from(
+            [p for p in ((1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (1, 1, 1))
+             if len(p) < n]))
+        sinks = species[len(powers):]
+        made = draw(st.lists(st.integers(1, 3), min_size=1, max_size=len(sinks)))
+        reactions.append(Reaction(tuple(zip(species, powers)), tuple(zip(sinks, made)),
+                                  draw(st.floats(0.05, 20.0))))
+    return make_network([f"S{i}" for i in range(n)], reactions)
+
+
+def _states(n):
+    amounts = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+    return st.lists(amounts, min_size=n, max_size=n)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_generated_rhs_equals_rhs_packed_bitwise(data):
+    net = data.draw(_mass_action_networks())
+    terms = pack_network(net)
+    rhs = _kernels._kernel(terms, net.n, 1e-12, 1e-10)[0]
+    values = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, 1e200, 5e-324]))
+    for _ in range(3):
+        c = data.draw(st.lists(values, min_size=net.n, max_size=net.n))
+        assert np.array(rhs(c)).tobytes() == np.array(
+            _kernels.rhs_packed(c, terms, net.n)).tobytes()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_kernel_equals_the_list_loop_on_random_networks(data):
+    net = data.draw(_mass_action_networks())
+    c0 = np.array(data.draw(_states(net.n)))
+    # the horizon is 0.1-3 times the fastest rate constant's time scale: where
+    # the draws create mass, the growth stiffens the system (A -> 3C + 3D with
+    # C + D -> A + B reached 1e9 at about 1e5 steps, h = 1e-6, before t = 2),
+    # and the explicit integrator, stability-limited there, runs for minutes
+    k_max = max(k for k, _, _ in pack_network(net))
+    times = _geometric(data.draw(st.floats(0.1, 3.0)) / k_max, data.draw(st.integers(1, 30)))
+    rtol, atol = data.draw(st.sampled_from([(1e-10, 1e-12), (1e-6, 1e-10), (0.1, 1e-16)]))
+    _same_run(pack_network(net), c0, times, rtol, atol)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(kp=st.floats(0.1, 10.0), km=st.floats(0.1, 10.0), coeff=st.sampled_from([1, 2]))
+def test_dimerization_matches_closed_forms(kp, km, coeff):
+    net = _dimer(kp, km, coeff)
+    times = _geometric(10.0 / min(kp, km), 400)
+    cfg = IntegratorConfig()
+    dual = dual_experiment_nonlinear(net, 0, 1, times=times, cfg=cfg)
+    sol = (nonlinear_2A_B if coeff == 1 else nonlinear_2A_2B)(kp, km, times)
+    pairs = [(sol.a_from_a, dual.from_a.species(0)), (sol.b_from_a, dual.from_a.species(1)),
+             (sol.a_from_b, dual.from_b.species(0))]
+    if coeff == 2:
+        pairs.append((sol.b_from_b, dual.from_b.species(1)))
+    assert max(float(np.max(np.abs(x - y))) for x, y in pairs) <= 1e-9
+    w = conservation_vector(net)
+    for traj in (dual.from_a, dual.from_b):
+        totals = traj.concentrations @ w
+        assert np.max(np.abs(totals - dual.conserved_total)) <= 1e-10 * dual.conserved_total
+        assert traj.concentrations.min() >= -10.0 * cfg.abs_tol
+
+
+def test_one_compiled_kernel_serves_every_rate(caplog):
+    _kernels._makers.cache_clear()
+    times = _geometric(5.0, 20)
+    with caplog.at_level(logging.DEBUG, logger="kinvar.integrate"):
+        for kp, km in ((3.0, 1.0), (0.2, 7.0), (3.0, 1.0)):
+            _same_run(pack_network(_dimer(kp, km, 1)), np.array([1.0, 0.0]), times,
+                      1e-10, 1e-12)
+    states = [r.message.rsplit(": ", 1)[1] for r in caplog.records
+              if r.message.startswith("dp54 kernel for 2 species and 2 terms")]
+    assert states == ["compiled", "reused", "reused"]
+    assert _kernels._makers.cache_info().misses == 1
+
+
+def test_code_cache_keeps_the_shapes_of_one_benchmark_pass():
+    # a pass alternates the chain and two dimerization shapes; each compiles
+    # once however often the pass repeats
+    _kernels._makers.cache_clear()
+    shapes = [(_alternating_chain(), np.eye(40)[0]), (_dimer(2.0, 1.0, 1), np.array([1.0, 0.0])),
+              (_dimer(2.0, 1.0, 2), np.array([1.0, 0.0]))]
+    for _ in range(3):
+        for net, c0 in shapes:
+            _kernels.integrate_dp54(pack_network(net), c0, _geometric(1.0, 5), 1e-8, 1e-11)
+    info = _kernels._makers.cache_info()
+    assert (info.misses, info.hits) == (3, 6)
+    assert info.maxsize >= 3
+
+
+def test_generated_source_holds_only_indices_and_numbers():
+    # names from the input never reach the source; every identifier in it is
+    # one of the generator's own
+    net = make_network(["import os", "__class__"],
+                       [Reaction(((0, 2),), ((1, 3),), 2.0, 0.5)])
+    shape = (net.n, tuple((f, c) for _, f, c in pack_network(net)))
+    allowed = re.compile(r"(mk|rates|atol|rtol|rhs|stage[1-6]|error|dense|c|y|w|h|theta"
+                         r"|u|v|err|abs|def|return|if|else|[qyzwrb]\d+|k\d(_\d+)?)$")
+    names = set()
+    for _, source in _kernels._sources(*shape):
+        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+        names.update(tok.string for tok in tokens if tok.type == tokenize.NAME)
+    assert {name for name in names if not allowed.match(name)} == set()

@@ -422,3 +422,12 @@ def test_bad_grid_fails_before_propagation(monkeypatch):
             simulate_linear(M, np.array([1.0, 0.0]), times)
         with pytest.raises(ValueError, match="strictly increasing"):
             dual_experiment(net, 0, 1, times)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_eigen_residual_rejects_the_decomposition():
+    # entries near the float limit overflow M V - V diag(lambda); the
+    # residual is not finite, and neither overflow warns
+    m = np.array([[-1.7e308, 1e308, 0.0], [1.7e308, -1e308, 1.0], [0.0, 0.0, -1.0]])
+    out, why = linear._eig_propagators(m, np.array([0.0, 1.0]), np.eye(3))
+    assert out is None and why == "eigen residual is not finite"
