@@ -91,6 +91,8 @@ _P = (
 STATUS_OK = 0
 STATUS_STEP_UNDERFLOW = 1
 STATUS_NEGATIVE = 2
+STATUS_NAN_ERROR = 3
+STATUS_OVERFLOW = 4
 
 
 def rhs_packed(c, terms, n):
@@ -223,8 +225,10 @@ def integrate_dp54(terms, c0, times, rtol, atol):
     """Integrate from times[0] = 0 to times[-1], filling every grid row.
 
     Returns ``(status, t_fail, out, stats)``. Status 0 is success; 1 is
-    step-size underflow and 2 a concentration below -10*atol, both reported
-    with the time at which they occurred; rows past the failure point are
+    step-size underflow, 2 a concentration below -10*atol, 3 a NaN error
+    norm on a step that leaves grid rows unfilled, and 4 a scaled
+    derivative or error component whose square overflows; each is reported
+    with the time at which it occurred, and rows past the failure point are
     NaN. ``stats`` is ``(accepted, rejected, rhs_evals, h_min, h_max)`` over
     the steps taken, with ``h_min = inf`` and ``h_max = 0`` when none was
     accepted.
@@ -245,31 +249,40 @@ def integrate_dp54(terms, c0, times, rtol, atol):
     f0 = rhs(y)
     evals += 1
 
-    # starting step: scaled magnitudes of y and f, refined by an Euler probe
-    d0 = 0.0
-    d1 = 0.0
-    for yi, fi in zip(y, f0):
-        sc = atol + rtol * abs(yi)
-        d0 += (yi / sc) ** 2
-        d1 += (fi / sc) ** 2
-    d0 = (d0 / n) ** 0.5
-    d1 = (d1 / n) ** 0.5
-    if d0 < 1e-5 or d1 < 1e-5:
-        h0 = 1e-6
-    else:
-        h0 = 0.01 * d0 / d1
-    if h0 > t_end:
-        h0 = t_end
-    if not h0 > 0.0:
-        # an overflowing rate leaves no usable starting step
+    # starting step: scaled magnitudes of y and f, refined by an Euler probe.
+    # A float ** raises OverflowError where * would give inf: a finite scaled
+    # derivative can square past the float range
+    try:
+        d0 = 0.0
+        d1 = 0.0
+        for yi, fi in zip(y, f0):
+            sc = atol + rtol * abs(yi)
+            d0 += (yi / sc) ** 2
+            d1 += (fi / sc) ** 2
+        d0 = (d0 / n) ** 0.5
+        d1 = (d1 / n) ** 0.5
+        if d0 < 1e-5 or d1 < 1e-5:
+            h0 = 1e-6
+        else:
+            h0 = 0.01 * d0 / d1
+        if h0 > t_end:
+            h0 = t_end
+        if not h0 > 0.0:
+            # an overflowing rate leaves no usable starting step
+            status = STATUS_STEP_UNDERFLOW
+        else:
+            f1 = rhs([yi + h0 * fi for yi, fi in zip(y, f0)])
+            evals += 1
+            d2 = 0.0
+            for yi, fi, gi in zip(y, f0, f1):
+                sc = atol + rtol * abs(yi)
+                d2 += ((gi - fi) / sc) ** 2
+            status = STATUS_OK
+    except OverflowError:
+        status = STATUS_OVERFLOW
+    if status != STATUS_OK:
         rows.extend([float("nan")] * n for _ in range(m - 1))
-        return STATUS_STEP_UNDERFLOW, 0.0, np.array(rows), (0, 0, evals, h_min, h_max)
-    f1 = rhs([yi + h0 * fi for yi, fi in zip(y, f0)])
-    evals += 1
-    d2 = 0.0
-    for yi, fi, gi in zip(y, f0, f1):
-        sc = atol + rtol * abs(yi)
-        d2 += ((gi - fi) / sc) ** 2
+        return status, 0.0, np.array(rows), (0, 0, evals, h_min, h_max)
     d2 = (d2 / n) ** 0.5 / h0
     dm = d1 if d1 > d2 else d2
     if dm <= 1e-15:
@@ -286,7 +299,6 @@ def integrate_dp54(terms, c0, times, rtol, atol):
     next_out = 1
     facold = 1e-4
     last_rejected = False
-    status = STATUS_OK
 
     while next_out < m:
         if t + h > t_end:
@@ -302,7 +314,11 @@ def integrate_dp54(terms, c0, times, rtol, atol):
         k5 = stage5(y, k0, k1, k2, k3, k4, h)
         ynew, k6 = stage6(y, k0, k1, k2, k3, k4, k5, h)
         evals += 6
-        err = error(y, ynew, k0, k1, k2, k3, k4, k5, k6, h)
+        try:
+            err = error(y, ynew, k0, k1, k2, k3, k4, k5, k6, h)
+        except OverflowError:  # a scaled error component squared past the float range
+            status = STATUS_OVERFLOW
+            break
 
         if err > 1.0:
             fac11 = err ** 0.17
@@ -332,6 +348,12 @@ def integrate_dp54(terms, c0, times, rtol, atol):
             else:
                 rows.append(dense(y, k0, k1, k2, k3, k4, k5, k6, h, theta))
             next_out += 1
+        if err != err and next_out < m:
+            # a NaN norm passes the err > 1 test above, but it would turn the
+            # PI factor and then h into NaN, and no later step could end the
+            # run; a NaN on the step that fills the last row ends it as before
+            status, t = STATUS_NAN_ERROR, t_new
+            break
 
         # PI controller (Hairer's DOPRI5 coefficients)
         if err == 0.0:

@@ -67,6 +67,10 @@ def integrate(
     log.debug("integrate %s: %s", label or "run", stats)
     if status == _kernels.STATUS_STEP_UNDERFLOW:
         raise IntegrationError("step size underflow", t=t_stop)
+    if status == _kernels.STATUS_NAN_ERROR:
+        raise IntegrationError("the error estimate is NaN", t=t_stop)
+    if status == _kernels.STATUS_OVERFLOW:
+        raise IntegrationError("the step-size control overflows the float range", t=t_stop)
     if status == _kernels.STATUS_NEGATIVE:
         raise IntegrationError(
             f"concentration fell below -10*abs_tol = {-10 * cfg.abs_tol:g}",

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DegenerateExperimentError
 from .laplace import path_equilibrium_constant
 from .linear import build_rate_matrix, equilibrium_composition
-from .network import ReactionNetwork
+from .network import ReactionNetwork, first_order_view
 from .trajectory import DualExperiment, Trajectory
 
 KINDS = ("linear_ratio", "nonlinear_2A_B", "nonlinear_2A_2B", "path_product")
@@ -205,20 +205,12 @@ def _initial_rate(net: ReactionNetwork, c: list, s: int) -> float:
 
     Each reaction direction that feeds or drains ``s`` adds or subtracts its
     flux ``k c_source``, from ``0.0`` in reaction order, the sum the
-    mass-action right-hand side forms for ``s``.
+    mass-action right-hand side forms for ``s``. The directions come from the
+    network's :func:`~kinvar.network.first_order_view`.
     """
     rate = 0.0
-    for rxn in net.reactions:
-        if not rxn.first_order:
-            raise ValueError("the t->0 limit needs an all-first-order network")
-        (u, _), = rxn.reactants
-        (v, _), = rxn.products
-        steps = ((rxn.k_forward, u, v), (rxn.k_backward, v, u))
-        for k, src, dst in steps if rxn.reversible else steps[:1]:
-            if dst == s:
-                rate += k * c[src]
-            elif src == s:
-                rate -= k * c[src]
+    for k, src in first_order_view(net).directions[s]:
+        rate += k * c[src]
     return rate
 
 

@@ -32,6 +32,7 @@ from .network import (
     ReactionNetwork,
     balanced_rates,
     cycle_products,
+    first_order_view,
     merged_rates,
     path_products,
     potentials,
@@ -576,13 +577,21 @@ def path_equilibrium_constant(net: ReactionNetwork, a: int, b: int) -> Fraction:
     before ratios are formed. On a detailed-balanced network every reversible
     path gives this same product, K_ab = h_b/h_a; on an unbalanced one the
     shortest path's product is the sensible reading (for a directly connected
-    pair, its own merged rate ratio). The path is searched on the float
-    rates; only the rates of its steps are summed as Fractions.
+    pair, its own merged rate ratio).
+
+    When the exact certificate of the network's
+    :func:`~kinvar.network.first_order_view` holds, K is its
+    ``h_b / h_a``, which equals every path's product exactly. Otherwise the
+    path is searched on the float rates, and only the rates of its steps are
+    summed as Fractions.
     """
     if not (0 <= a < net.n and 0 <= b < net.n):
         raise IndexError("species index out of range")
     if a == b:
         return Fraction(1)
+    certificate = first_order_view(net).certificate
+    if certificate.failure is None and certificate.root[a] == certificate.root[b]:
+        return certificate.constant(a, b)
     path = shortest_path(net.n, reversible_edges(merged_rates(net)), a, b)
     if path is None:
         raise NoReversiblePathError(

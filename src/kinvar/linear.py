@@ -17,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import MultipleEquilibriaError
-from .network import COLUMN_SUM_TOL, ReactionNetwork, potentials, rate_entries
+from .network import COLUMN_SUM_TOL, ReactionNetwork, first_order_view, potentials
 from .trajectory import DualExperiment, Trajectory, check_grid, geometric_grid
 
 log = logging.getLogger(__name__)
@@ -68,9 +68,17 @@ class RateMatrix:
 
 
 def build_rate_matrix(net: ReactionNetwork) -> RateMatrix:
-    """``M`` of an all-first-order network, from :func:`~kinvar.network.rate_entries`."""
-    entries = rate_entries(net)
-    m = np.zeros((net.n, net.n))
+    """``M`` of an all-first-order network, in a fresh writable array.
+
+    The entries are those of :func:`~kinvar.network.rate_entries`, read from
+    the network's :func:`~kinvar.network.first_order_view`.
+    """
+    return dense_rate_matrix(net.n, first_order_view(net).entries)
+
+
+def dense_rate_matrix(n: int, entries: dict) -> RateMatrix:
+    """``M`` of order ``n`` from its nonzero entries ``{(i, j): M[i, j]}``."""
+    m = np.zeros((n, n))
     index = np.fromiter(chain.from_iterable(entries), np.intp, 2 * len(entries))
     m[index[0::2], index[1::2]] = np.fromiter(entries.values(), float, len(entries))
     return RateMatrix(m)
@@ -313,13 +321,14 @@ def dual_experiment(
     """Unit-priming runs from species ``a`` and from species ``b`` on one grid.
 
     Both runs share one propagator computation; each equals the
-    :func:`simulate_linear` run from its unit vector.
+    :func:`simulate_linear` run from its unit vector. ``M`` is the read-only
+    one of the network's :func:`~kinvar.network.first_order_view`.
     """
     if a == b:
         raise ValueError("dual experiment needs two distinct species")
     times = np.asarray(times, dtype=float)
     check_grid(times)
-    M = build_rate_matrix(net)
+    M = first_order_view(net).rate_matrix
     C0 = np.zeros((net.n, 2))
     C0[a, 0] = C0[b, 1] = 1.0
     conc = _propagators(M, times, C0)

@@ -16,6 +16,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import BalanceError, ConfigError, ConservationError, NetworkValidationError
@@ -554,6 +555,137 @@ def check_rate_rows(rows: list) -> None:
     scale = max(1.0, max((abs(x) for row in rows for x in row), default=0.0))
     if any(abs(sum(row[j] for row in rows)) > COLUMN_SUM_TOL * scale for j in range(n)):
         raise ValueError("columns of a rate matrix must sum to zero")
+
+
+# ---------------------------------------------------------------------------
+# first-order view
+
+
+@dataclass(frozen=True)
+class BalanceCertificate:
+    """Exact detailed-balance certificate of a first-order network.
+
+    It holds (``failure`` is None) when every merged rate has its reverse
+    and the rate products along and against every basis cycle agree
+    exactly. Then ``k(u->v) h_u = k(v->u) h_v`` on every edge for the
+    :func:`potentials` ``h``, here unreduced integer pairs ``h[v] = (p, q)``
+    with ``h_v = p / q``, and every reversible path ``a -> b`` has the
+    rate-ratio product ``h_b / h_a``. Two species share a ``root`` exactly
+    when reversible steps connect them. Otherwise ``failure`` says why.
+    """
+
+    h: tuple | None
+    root: tuple | None
+    failure: str | None
+
+    def constant(self, a: int, b: int) -> Fraction:
+        """``h_b / h_a`` of two species that share a root."""
+        (pa, qa), (pb, qb) = self.h[a], self.h[b]
+        return Fraction(pb * qa, qb * pa)
+
+
+class FirstOrderView:
+    """Rate data that every species pair of one network shares, each part
+    computed on first use; on a network that is not all first order a part
+    raises when read."""
+
+    def __init__(self, net: ReactionNetwork):
+        self.net = net
+
+    @cached_property
+    def entries(self) -> dict[tuple[int, int], float]:
+        return rate_entries(self.net)
+
+    @cached_property
+    def rate_matrix(self):
+        """``M`` as a read-only ``linear.RateMatrix`` (imports numpy)."""
+        from .linear import dense_rate_matrix
+
+        M = dense_rate_matrix(self.net.n, self.entries)
+        M.entries.flags.writeable = False
+        return M
+
+    @cached_property
+    def directions(self) -> tuple:
+        """Per species, ``(k, source)`` of each reaction direction that changes it.
+
+        In reaction order, forward before backward, each direction ``u -> v``
+        of rate ``k`` appears under ``v`` as ``(k, u)`` and under ``u`` as
+        ``(-k, u)``, so ``dc_s/dt`` sums ``k * c[source]`` over ``s``'s list:
+        adding ``(-k) * c`` rounds exactly as subtracting ``k * c`` does.
+        """
+        out: list[list] = [[] for _ in self.net.species]
+        for rxn in self.net.reactions:
+            if not rxn.first_order:
+                raise ValueError("reaction directions need an all-first-order network")
+            u, v = _edge_endpoints(rxn)
+            steps = ((rxn.k_forward, u, v), (rxn.k_backward, v, u))
+            for k, src, dst in steps if rxn.reversible else steps[:1]:
+                out[dst].append((k, src))
+                if src != dst:
+                    out[src].append((-k, src))
+        return tuple(map(tuple, out))
+
+    @cached_property
+    def certificate(self) -> BalanceCertificate:
+        """The network's :class:`BalanceCertificate`.
+
+        The merged rates are summed exactly, as Fractions would be, but in
+        integers: every rate is scaled by the one power of two that makes each
+        rate constant an integer, a factor that cancels from every rate ratio
+        and cycle product. Integer products cost a fraction of Fraction ones.
+        """
+        net = self.net
+        ks = [k for rxn in net.reactions for k in (rxn.k_forward, rxn.k_backward)]
+        shift = max((k.as_integer_ratio()[1].bit_length() for k in ks), default=1) - 1
+
+        def scaled(k) -> int:
+            p, q = k.as_integer_ratio()
+            return p << (shift + 1 - q.bit_length())
+
+        rates = merged_rates(net, scaled)
+        for (u, v), k in rates.items():
+            if (v, u) not in rates:
+                return BalanceCertificate(None, None, f"edge {u} -> {v} has no reverse")
+            if not k > 0:  # a network that was never validated
+                return BalanceCertificate(None, None, f"edge {u} -> {v} has no positive rate")
+        forest = spanning_forest(net.n, rates)
+        for cycle in forest.cycles():
+            along, against = path_products(rates, cycle)
+            if along != against:
+                walk = " -> ".join(map(str, cycle))
+                return BalanceCertificate(None, None, f"rate products around {walk} differ")
+        h = [(1, 1)] * net.n
+        root = list(range(net.n))
+        for v in forest.order:
+            p = forest.parent[v]
+            if p is not None:
+                h[v] = (h[p][0] * rates[(p, v)], h[p][1] * rates[(v, p)])
+                root[v] = root[p]
+        return BalanceCertificate(tuple(h), tuple(root), None)
+
+
+# one slot: callers take one network at a time through its pairs, and a slot
+# per network seen would keep every network's data alive
+_last_view: FirstOrderView | None = None
+
+
+def first_order_view(net: ReactionNetwork) -> FirstOrderView:
+    """The :class:`FirstOrderView` of ``net``, shared while consecutive calls pass equal networks.
+
+    The key is the species and reactions tuples, compared in full, so a
+    rebuilt but equal network hits and a changed rate misses.
+    """
+    global _last_view
+    view = _last_view
+    if view is not None and (view.net.species, view.net.reactions) == (net.species,
+                                                                       net.reactions):
+        state = "reused"
+    else:
+        _last_view = view = FirstOrderView(net)
+        state = "computed"
+    log.debug("first-order view of %d species: %s", net.n, state)
+    return view
 
 
 # ---------------------------------------------------------------------------

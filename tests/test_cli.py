@@ -770,3 +770,38 @@ def test_network_file_mutations_keep_the_exit_code_contract(tmp_path, capsys):
             broken.append((*case, rc))
     capsys.readouterr()
     assert broken == []
+
+
+def _kinvar_process(argv, timeout):
+    """``kinvar <argv>`` in a fresh process, killed after ``timeout`` seconds."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, "-m", "kinvar.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("k_forward, k_backward, a0, message", [
+    # the error norm turns NaN on a step that leaves grid rows unfilled: the
+    # step controller used to accept it and loop forever on h = NaN
+    (9.05281364985555e+194, 2.5297824747816608e+213, 3.397405482411133e-156,
+     "numerical failure: the error estimate is NaN (at t="),
+    # a finite scaled derivative squares past the float range in the
+    # starting-step heuristic, where float ** raises OverflowError
+    (1e200, 1.0, None,
+     "numerical failure: the step-size control overflows the float range (at t=0)"),
+])
+def test_dp5_numerical_faults_exit_3_in_one_line(tmp_path, k_forward, k_backward, a0,
+                                                message):
+    experiment = {"a": "A", "b": "B"}
+    if a0 is not None:
+        experiment["a0"] = a0
+    cfg = _write_scenario(
+        tmp_path, invariants=[], experiment=experiment,
+        network={"species": ["A", "B"],
+                 "reactions": [_rxn(["A", 2], ["B", 1], k_forward, k_backward)]},
+        grid={"t_max": 1, "points": 50, "spacing": "geometric"})
+    proc = _kinvar_process(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")],
+                           timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(message)
+    assert proc.stderr.count("\n") == 1

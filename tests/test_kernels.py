@@ -8,6 +8,7 @@ itself against the dimerization closed forms.
 
 import io
 import logging
+import math
 import re
 import tokenize
 
@@ -216,3 +217,51 @@ def test_generated_source_holds_only_indices_and_numbers():
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         names.update(tok.string for tok in tokens if tok.type == tokenize.NAME)
     assert {name for name in names if not allowed.match(name)} == set()
+
+
+def test_overflowing_starting_step_is_a_status_of_its_own():
+    # at k_forward = 1e200 the starting step's (f / sc) ** 2 is finite before
+    # squaring; float ** raises OverflowError where * would give inf
+    terms, c0 = pack_network(_dimer(1e200, 1.0, 1)), np.array([1.0, 0.0])
+    times = _geometric(1.0, 50)
+    with pytest.raises(OverflowError):
+        dp54_reference.integrate_dp54(terms, c0, times, 1e-10, 1e-12)
+    status, t, rows, stats = _kernels.integrate_dp54(terms, c0, times, 1e-10, 1e-12)
+    assert (status, t) == (_kernels.STATUS_OVERFLOW, 0.0)
+    assert rows[0].tolist() == c0.tolist() and np.isnan(rows[1:]).all()
+    assert stats == (0, 0, 1, math.inf, 0.0)
+
+
+def test_overflowing_error_norm_stops_the_run(monkeypatch):
+    # the generated error unit squares its scaled components with ** too
+    real = _kernels._kernel
+
+    def kernel(*args):
+        units = real(*args)
+
+        def error(*_):
+            raise OverflowError(34, "Numerical result out of range")
+
+        units[7] = error
+        return units
+
+    monkeypatch.setattr(_kernels, "_kernel", kernel)
+    status, t, rows, _ = _kernels.integrate_dp54(
+        pack_network(_dimer(2.0, 1.0, 1)), np.array([1.0, 0.0]), _geometric(1.0, 20),
+        1e-10, 1e-12)
+    assert (status, t) == (_kernels.STATUS_OVERFLOW, 0.0)
+    assert np.isnan(rows[1:]).all()
+
+
+def test_nan_error_norm_stops_the_run():
+    # the error norm is NaN on a step that leaves rows to fill, where the step
+    # controller (and the list loop, which cannot be run here) used to loop
+    # forever on h = NaN
+    terms = pack_network(_dimer(9.05281364985555e+194, 2.5297824747816608e+213, 1))
+    c0 = np.array([3.397405482411133e-156, 0.0])
+    times = _geometric(1.0, 51)
+    status, t, rows, (accepted, _, _, _, _) = _kernels.integrate_dp54(
+        terms, c0, times, 1e-10, 1e-12)
+    assert status == _kernels.STATUS_NAN_ERROR
+    assert 0.0 < t < times[-1] and accepted >= 1
+    assert np.isnan(rows[times > t]).all()
