@@ -2,10 +2,11 @@
 
 Subcommands: ``simulate`` (dual-experiment trajectories to CSV), ``invariants``
 (ratio reports with pass/fail exit code), ``prove`` (exact Laplace-domain
-proportionality proof), ``fig1`` (built-in butene ratio dataset), ``balance``
-(cycle-condition repair of a network file). Scenario and network inputs are
-JSON; all outputs are UTF-8 with dot decimals, and reports are pretty-printed
-with sorted keys so identical inputs give identical bytes.
+proportionality proof of one pair, or of every pair at once), ``fig1``
+(built-in butene ratio dataset), ``balance`` (cycle-condition repair of a
+network file). Scenario and network inputs are JSON; all outputs are UTF-8
+with dot decimals, and reports are pretty-printed with sorted keys so
+identical inputs give identical bytes.
 
 Exit codes: 0 success/verified, 1 invariant or proof failure, 2 input error,
 3 numerical failure.
@@ -22,6 +23,7 @@ import json
 import re
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 from .errors import (
@@ -34,7 +36,7 @@ from .errors import (
     NetworkValidationError,
     NoReversiblePathError,
 )
-from .laplace import exact_balance, prove_fixed_proportion
+from .laplace import exact_balance, exact_view, prove_fixed_proportion
 from .network import (
     ORDER_FIRST,
     ReactionNetwork,
@@ -213,16 +215,15 @@ def cmd_prove(args) -> int:
     net = _load_config(args, load_network)
     if net.order_kind != ORDER_FIRST:
         raise ConfigError("proofs require an all-first-order network")
-    if args.pair is None:
-        raise ConfigError("--pair A,B is required")
-    names = args.pair.split(",")
-    if len(names) != 2:
-        raise ConfigError("--pair expects two comma-separated species names")
-    for name in names:
-        if name not in net.names:
-            raise ConfigError(f"species {name!r} is not in the network")
-    a = net.index_of(names[0])
-    b = net.index_of(names[1])
+    if (args.pair is not None) == args.all_pairs:
+        raise ConfigError("prove takes exactly one of --pair A,B and --all-pairs")
+    if args.pair is not None:
+        names = args.pair.split(",")
+        if len(names) != 2:
+            raise ConfigError("--pair expects two comma-separated species names")
+        for name in names:
+            if name not in net.names:
+                raise ConfigError(f"species {name!r} is not in the network")
 
     # the dense rate matrix as nested lists of floats, which the exact
     # routines take at their binary values
@@ -231,12 +232,14 @@ def cmd_prove(args) -> int:
         M[i][j] = x
     check_rate_rows(M)
     subject = exact_balance(M) if args.balance else M
-    report = prove_fixed_proportion(subject, a, b)
+    out_dir = Path(args.out)
+    if args.all_pairs:
+        return _prove_all_pairs(net, subject, bool(args.balance), out_dir)
 
+    report = prove_fixed_proportion(subject, net.index_of(names[0]), net.index_of(names[1]))
     payload = report.to_dict()
     payload["pair"] = [names[0], names[1]]
     payload["balanced"] = bool(args.balance)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "proof.json", payload)
     if report.verified:
@@ -251,6 +254,35 @@ def cmd_prove(args) -> int:
         print(f"  cycle {cyc}: forward {v.forward_product}, "
               f"backward {v.backward_product}, mismatch {v.mismatch}")
     return EXIT_FAILED
+
+
+def _prove_all_pairs(net: ReactionNetwork, subject, balanced: bool, out_dir: Path) -> int:
+    """Every connected pair's K from the one exact detailed-balance certificate.
+
+    Each pair ``a < b`` that reversible steps connect is oriented as in
+    ``proof.json``, ``K = h_b / h_a``; no cofactor is expanded, so a failed
+    certificate proves no pair.
+    """
+    certificate = exact_view(subject).certificate
+    payload = {"balanced": balanced, "certificate": certificate.failure,
+               "potentials": None, "pairs": []}
+    if certificate.failure is None:
+        payload["potentials"] = {name: [h.numerator, h.denominator] for name, h in
+                                 zip(net.names, (Fraction(p, q) for p, q in certificate.h))}
+        for a in range(net.n):
+            for b in range(a + 1, net.n):
+                if certificate.root[a] == certificate.root[b]:
+                    K = certificate.constant(a, b)
+                    payload["pairs"].append({"pair": [net.names[a], net.names[b]],
+                                             "K_num": K.numerator, "K_den": K.denominator})
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_json(out_dir / "proofs.json", payload)
+    if certificate.failure is not None:
+        print(f"NOT verified: {certificate.failure}")
+        return EXIT_FAILED
+    print(f"verified: {len(payload['pairs'])} connected pair(s) in fixed proportion "
+          "(exact detailed balance); wrote proofs.json")
+    return EXIT_OK
 
 
 def cmd_fig1(args) -> int:
@@ -354,6 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_prove = sub.add_parser("prove", help="exact fixed-proportion proof")
     p_prove.add_argument("--config", help="network JSON file")
     p_prove.add_argument("--pair", help="species pair as a,b")
+    p_prove.add_argument("--all-pairs", action="store_true",
+                         help="every connected pair from one exact certificate "
+                              "(proofs.json)")
     p_prove.add_argument("--out", default=".", help="output directory")
     p_prove.add_argument("--balance", action="store_true",
                          help="exactly balance the network first (rational "

@@ -15,7 +15,9 @@ expansion of the same cofactors. They must agree coefficient by coefficient,
 which the tests exploit as a cross-check; the forest route reads only the
 rates, so it refuses a matrix whose diagonal is not exactly minus its
 column's rates. Fixed-proportion proofs try an exact detailed-balance
-certificate first and expand cofactors only when it fails.
+certificate first and expand cofactors only when it fails; the certificate,
+like the exact entries and rates it reads, is shared by every pair of one
+rate matrix through :func:`exact_view`.
 """
 
 from __future__ import annotations
@@ -29,13 +31,14 @@ from typing import Optional, Sequence
 
 from .errors import NoReversiblePathError
 from .network import (
+    BalanceCertificate,
     ReactionNetwork,
+    balance_certificate,
     balanced_rates,
     cycle_products,
     first_order_view,
     merged_rates,
     path_products,
-    potentials,
     reversible_edges,
     shortest_path,
 )
@@ -444,13 +447,82 @@ def exact_cycle_violations(M) -> list:
     every such cycle has equal forward and backward rate products (checked
     exactly).
     """
-    entries = exact_entries(M)
-    return _cycle_violations(len(entries), _rate_map(entries))
+    return list(exact_view(M).cycle_violations)
 
 
-def _cycle_violations(n: int, rates: dict) -> list:
-    return [CycleViolation(tuple(cycle), fwd, back)
-            for cycle, fwd, back in cycle_products(n, rates) if fwd != back]
+class ExactView:
+    """Exact data that every species pair of one rate matrix shares, each part
+    computed on first use from a snapshot of the matrix's values."""
+
+    def __init__(self, key: tuple, rows):
+        self.key = key
+        self._rows = rows
+
+    @cached_property
+    def entries(self) -> tuple:
+        """The :func:`exact_entries`, as read-only rows."""
+        return tuple(map(tuple, exact_entries(self._rows)))
+
+    @cached_property
+    def rates(self) -> dict:
+        return _rate_map(self.entries)
+
+    @cached_property
+    def certificate(self) -> BalanceCertificate:
+        """The :func:`~kinvar.network.balance_certificate` of the Fraction rates.
+
+        A negative off-diagonal entry fails it first: the rate map leaves such
+        an entry out, and ``M diag(h)`` cannot be symmetric with it.
+        """
+        entries = self.entries
+        n = len(entries)
+        # a Fraction's sign is its numerator's, which is far cheaper to compare
+        if any(entries[i][j].numerator < 0 for i in range(n) for j in range(n) if i != j):
+            return BalanceCertificate(None, None, "an off-diagonal entry is negative")
+        return balance_certificate(n, self.rates)
+
+    @cached_property
+    def cycle_violations(self) -> tuple:
+        """The :class:`CycleViolation` of each unbalanced basis cycle; none when
+        the certificate holds."""
+        if self.certificate.failure is None:
+            return ()
+        return tuple(CycleViolation(tuple(cycle), fwd, back)
+                     for cycle, fwd, back in cycle_products(len(self.entries), self.rates)
+                     if fwd != back)
+
+
+# one slot: callers take one matrix at a time through its pairs, and a slot
+# per matrix seen would keep every matrix's data alive
+_last_exact_view: Optional[ExactView] = None
+
+
+def exact_view(M) -> ExactView:
+    """The :class:`ExactView` of ``M``, shared while consecutive calls pass equal values.
+
+    The key is the shape, dtype and bytes of a RateMatrix's (or array's)
+    entries, otherwise the nested values as tuples, so a rebuilt but equal
+    matrix hits, and an edited one misses even when it is the same object.
+    Nested floats and Fractions of equal value compare equal, and so share
+    one view.
+    """
+    global _last_exact_view
+    entries = getattr(M, "entries", M)
+    if hasattr(entries, "tobytes"):
+        key = ("array", entries.shape, entries.dtype.str, entries.tobytes())
+        n = entries.shape[0] if entries.shape else 0
+    else:
+        key = ("rows", tuple(map(tuple, entries)))
+        n = len(key[1])
+    view = _last_exact_view
+    if view is not None and view.key == key:
+        state = "reused"
+    else:
+        rows = entries.tolist() if key[0] == "array" else key[1]
+        _last_exact_view = view = ExactView(key, rows)
+        state = "computed"
+    log.debug("exact view of %d species: %s", n, state)
+    return view
 
 
 @dataclass(frozen=True)
@@ -461,8 +533,9 @@ class ProofReport:
     numerator(L[b <- a]) == K * numerator(L[a <- b]) coefficient by
     coefficient. ``method`` names what decided it: ``"certificate"`` (exact
     detailed balance on every edge) or ``"cofactor"`` (both numerators
-    expanded and compared). The numerators are expanded from ``entries`` on
-    first access when the certificate decided.
+    expanded and compared); ``certificate_failure`` is None in the first case
+    and says why the certificate failed in the second. The numerators are
+    expanded from ``entries`` on first access when the certificate decided.
     """
 
     pair: tuple
@@ -471,6 +544,7 @@ class ProofReport:
     failing_coefficient: Optional[int]
     cycle_violations: tuple
     method: str
+    certificate_failure: Optional[str]
     entries: ExactEntries = field(repr=False, compare=False)
 
     @cached_property
@@ -492,29 +566,8 @@ class ProofReport:
             "method": self.method,
             "failing_coefficient": self.failing_coefficient,
             "cycle_violations": [v.to_dict() for v in self.cycle_violations],
+            "certificate": self.certificate_failure,
         }
-
-
-def _certificate_failure(entries: ExactEntries, rates: dict) -> Optional[str]:
-    """Why ``M diag(h)`` is not symmetric, or None when it is, exactly.
-
-    ``h`` are the potentials of ``rates``. Symmetry needs every off-diagonal
-    entry to be a rate and ``k(u->v) h_u == k(v->u) h_v`` on every edge, so
-    an edge without its reverse fails it.
-    """
-    n = len(entries)
-    # a Fraction's sign is its numerator's, which is far cheaper to compare
-    if any(entries[i][j].numerator < 0 for i in range(n) for j in range(n) if i != j):
-        return "an off-diagonal entry is negative"
-    h = potentials(n, rates)
-    for (u, v), k in rates.items():
-        back = rates.get((v, u))
-        if back is None:
-            return f"edge {u} -> {v} has no reverse"
-        # (u, v) and (v, u) state the same equation
-        if u < v and k * h[u] != back * h[v]:
-            return f"flux mismatch on edge {u} -> {v}: {k * h[u]} != {back * h[v]}"
-    return None
 
 
 def prove_fixed_proportion(M, a: int, b: int) -> ProofReport:
@@ -523,37 +576,46 @@ def prove_fixed_proportion(M, a: int, b: int) -> ProofReport:
     First the detailed-balance certificate: when ``k(u->v) h_u == k(v->u) h_v``
     holds exactly on every edge, ``M diag(h)`` is symmetric, so are the
     resolvent ``(sI - M)^{-1} diag(h)`` and ``exp(Mt) diag(h)``, and the ratio
-    is ``h_b / h_a`` at every t. ``K``, the product of forward/backward rate
-    ratios along a shortest reversible path a -> b, then equals ``h_b / h_a``.
+    is ``h_b / h_a`` at every t. ``K`` is then the certificate's ``h_b / h_a``,
+    which equals the product of forward/backward rate ratios along every
+    reversible path a -> b.
 
-    When the certificate fails (an irreversible step, a violated cycle), both
-    numerator polynomials are computed by exact cofactor expansion and
-    compared coefficient by coefficient against K. Linearity of the inverse
-    transform carries exact Laplace-domain proportionality to every t.
+    When the certificate fails (an irreversible step, a violated cycle), K is
+    that product along a shortest reversible path, and both numerator
+    polynomials are computed by exact cofactor expansion and compared
+    coefficient by coefficient against K. Linearity of the inverse transform
+    carries exact Laplace-domain proportionality to every t.
+
+    The entries, rates, certificate and cycle violations come from
+    :func:`exact_view`, so the pairs of one matrix share them.
 
     Raises :class:`NoReversiblePathError` when no reversible path connects
     the pair. Detailed-balance failures are not raised: they are reported in
     ``cycle_violations`` and normally surface as a failing coefficient.
     """
-    entries = exact_entries(M)
+    view = exact_view(M)
+    entries = view.entries
     n = len(entries)
     if not (0 <= a < n and 0 <= b < n):
         raise IndexError("species index out of range")
     if a == b:
         raise ValueError("fixed proportion needs two distinct species")
-    rates = _rate_map(entries)
-    K = _reversible_path_constant(n, rates, a, b)
+    certificate = view.certificate
+    if certificate.failure is None:
+        # every rate has its reverse, so the roots are the reversible components
+        K = certificate.constant(a, b) if certificate.root[a] == certificate.root[b] else None
+    else:
+        K = _reversible_path_constant(n, view.rates, a, b)
     if K is None:
         raise NoReversiblePathError(
             f"species {a} and {b} are not connected by reversible steps"
         )
-    why_not = _certificate_failure(entries, rates)
-    if why_not is None:
+    if certificate.failure is None:
         log.debug("proof certificate: detailed balance holds on every edge")
         return ProofReport(pair=(a, b), K=K, verified=True, failing_coefficient=None,
-                           cycle_violations=(), method="certificate", entries=entries)
-    log.debug("proof cofactor: %s", why_not)
-    violations = tuple(_cycle_violations(n, rates))
+                           cycle_violations=(), method="certificate",
+                           certificate_failure=None, entries=entries)
+    log.debug("proof cofactor: %s", certificate.failure)
     num_ba = cofactor_numerator(entries, a, b)
     num_ab = cofactor_numerator(entries, b, a)
     scaled = K * num_ab
@@ -563,8 +625,9 @@ def prove_fixed_proportion(M, a: int, b: int) -> ProofReport:
             failing = k
             break
     report = ProofReport(pair=(a, b), K=K, verified=failing is None,
-                         failing_coefficient=failing, cycle_violations=violations,
-                         method="cofactor", entries=entries)
+                         failing_coefficient=failing, cycle_violations=view.cycle_violations,
+                         method="cofactor", certificate_failure=certificate.failure,
+                         entries=entries)
     # fill the caches of the lazy numerators with the ones just expanded
     vars(report).update(numerator_b_from_a=num_ba, numerator_a_from_b=num_ab)
     return report

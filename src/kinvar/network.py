@@ -568,8 +568,8 @@ class BalanceCertificate:
     It holds (``failure`` is None) when every merged rate has its reverse
     and the rate products along and against every basis cycle agree
     exactly. Then ``k(u->v) h_u = k(v->u) h_v`` on every edge for the
-    :func:`potentials` ``h``, here unreduced integer pairs ``h[v] = (p, q)``
-    with ``h_v = p / q``, and every reversible path ``a -> b`` has the
+    :func:`potentials` ``h``, here unreduced pairs ``h[v] = (p, q)`` with
+    ``h_v = p / q``, and every reversible path ``a -> b`` has the
     rate-ratio product ``h_b / h_a``. Two species share a ``root`` exactly
     when reversible steps connect them. Otherwise ``failure`` says why.
     """
@@ -582,6 +582,35 @@ class BalanceCertificate:
         """``h_b / h_a`` of two species that share a root."""
         (pa, qa), (pb, qb) = self.h[a], self.h[b]
         return Fraction(pb * qa, qb * pa)
+
+
+def balance_certificate(n: int, rates) -> BalanceCertificate:
+    """The :class:`BalanceCertificate` of an exact rate map on species ``0..n-1``.
+
+    ``rates`` holds integers or Fractions; a positive factor common to every
+    rate cancels from every rate ratio and cycle product, so rates scaled to
+    integers certify what the unscaled ones do. The potentials are pairs in
+    the arithmetic of ``rates``.
+    """
+    for (u, v), k in rates.items():
+        if (v, u) not in rates:
+            return BalanceCertificate(None, None, f"edge {u} -> {v} has no reverse")
+        if not k > 0:  # a network that was never validated
+            return BalanceCertificate(None, None, f"edge {u} -> {v} has no positive rate")
+    forest = spanning_forest(n, rates)
+    for cycle in forest.cycles():
+        along, against = path_products(rates, cycle)
+        if along != against:
+            walk = " -> ".join(map(str, cycle))
+            return BalanceCertificate(None, None, f"rate products around {walk} differ")
+    h = [(1, 1)] * n
+    root = list(range(n))
+    for v in forest.order:
+        p = forest.parent[v]
+        if p is not None:
+            h[v] = (h[p][0] * rates[(p, v)], h[p][1] * rates[(v, p)])
+            root[v] = root[p]
+    return BalanceCertificate(tuple(h), tuple(root), None)
 
 
 class FirstOrderView:
@@ -643,26 +672,7 @@ class FirstOrderView:
             p, q = k.as_integer_ratio()
             return p << (shift + 1 - q.bit_length())
 
-        rates = merged_rates(net, scaled)
-        for (u, v), k in rates.items():
-            if (v, u) not in rates:
-                return BalanceCertificate(None, None, f"edge {u} -> {v} has no reverse")
-            if not k > 0:  # a network that was never validated
-                return BalanceCertificate(None, None, f"edge {u} -> {v} has no positive rate")
-        forest = spanning_forest(net.n, rates)
-        for cycle in forest.cycles():
-            along, against = path_products(rates, cycle)
-            if along != against:
-                walk = " -> ".join(map(str, cycle))
-                return BalanceCertificate(None, None, f"rate products around {walk} differ")
-        h = [(1, 1)] * net.n
-        root = list(range(net.n))
-        for v in forest.order:
-            p = forest.parent[v]
-            if p is not None:
-                h[v] = (h[p][0] * rates[(p, v)], h[p][1] * rates[(v, p)])
-                root[v] = root[p]
-        return BalanceCertificate(tuple(h), tuple(root), None)
+        return balance_certificate(net.n, merged_rates(net, scaled))
 
 
 # one slot: callers take one network at a time through its pairs, and a slot

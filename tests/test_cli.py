@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,56 @@ def test_prove_unbalanced_fails_and_balance_repairs(tmp_path, capsys):
                "cis-2-butene,1-butene", "--balance",
                "--out", str(tmp_path / "bal")])
     assert rc == 0
+
+
+def test_prove_all_pairs_matches_each_pair(tmp_path, capsys):
+    path = tmp_path / "butene.json"
+    save_network(butene_cycle(), path)
+    assert main(["prove", "--config", str(path), "--balance", "--all-pairs",
+                 "--out", str(tmp_path / "all")]) == 0
+    proofs = json.loads((tmp_path / "all" / "proofs.json").read_text())
+    assert proofs["balanced"] is True and proofs["certificate"] is None
+    names = list(butene_cycle().names)
+    assert [p["pair"] for p in proofs["pairs"]] == [names[:2], names[::2], names[1:]]
+    for entry in proofs["pairs"]:
+        out = tmp_path / "-".join(entry["pair"])
+        assert main(["prove", "--config", str(path), "--balance", "--pair",
+                     ",".join(entry["pair"]), "--out", str(out)]) == 0
+        proof = json.loads((out / "proof.json").read_text())
+        assert proof["certificate"] is None
+        assert (entry["K_num"], entry["K_den"]) == (proof["K_num"], proof["K_den"])
+        # K = h_b / h_a
+        (pa, qa), (pb, qb) = (proofs["potentials"][x] for x in entry["pair"])
+        assert Fraction(entry["K_num"], entry["K_den"]) == Fraction(pb * qa, qb * pa)
+    assert proofs["potentials"][names[0]] == [1, 1]
+
+
+def test_prove_all_pairs_fails_with_the_certificate_reason(tmp_path, capsys):
+    path = tmp_path / "butene.json"
+    save_network(butene_cycle(), path)
+    assert main(["prove", "--config", str(path), "--all-pairs",
+                 "--out", str(tmp_path)]) == 1
+    reason = "rate products around 1 -> 2 -> 0 -> 1 differ"
+    assert capsys.readouterr().out == f"NOT verified: {reason}\n"
+    proofs = json.loads((tmp_path / "proofs.json").read_text())
+    assert proofs == {"balanced": False, "certificate": reason, "potentials": None,
+                      "pairs": []}
+    # the single-pair proof names the same reason and expands cofactors
+    assert main(["prove", "--config", str(path), "--pair", "cis-2-butene,1-butene",
+                 "--out", str(tmp_path)]) == 1
+    assert json.loads((tmp_path / "proof.json").read_text())["certificate"] == reason
+
+
+@pytest.mark.parametrize("flags", [[], ["--pair", "A,B", "--all-pairs"],
+                                   ["--balance"], ["--balance", "--all-pairs", "--pair", "A,B"]])
+def test_prove_pair_flag_misuse_exits_2_in_one_line(tmp_path, capsys, flags):
+    path = tmp_path / "net.json"
+    save_network(first_order_network(["A", "B"], [("A", "B", 2.0, 1.0)]), path)
+    assert main(["prove", "--config", str(path), "--out", str(tmp_path / "o"), *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: prove takes exactly one of --pair A,B and --all-pairs\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_prove_unknown_species(tmp_path, capsys):
@@ -654,14 +705,20 @@ def test_first_order_commands_never_import_scipy(tmp_path, command):
     assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
 
 
-@pytest.mark.parametrize("command", ["prove", "prove-balance", "balance"])
+@pytest.mark.parametrize("command", ["prove", "prove-balance", "prove-all-pairs",
+                                     "prove-balance-all-pairs", "balance"])
 def test_network_commands_never_import_numpy(tmp_path, command):
     # the proof runs on exact integers and balancing on float rate maps
-    net = (first_order_network(["A", "B", "C"], [("A", "B", 2.0, 1.0), ("B", "C", 3.0, 0.0)])
-           if command == "prove" else butene_cycle())
+    net = {"prove": first_order_network(["A", "B", "C"], [("A", "B", 2.0, 1.0),
+                                                          ("B", "C", 3.0, 0.0)]),
+           "prove-all-pairs": first_order_network(["A", "B", "C"], [("A", "B", 2.0, 1.0),
+                                                                    ("B", "C", 3.0, 4.0)]),
+           }.get(command, butene_cycle())
     save_network(net, tmp_path / "net.json")
     argv = {"prove": ["prove", "--pair", "A,B"],
             "prove-balance": ["prove", "--balance", "--pair", "cis-2-butene,1-butene"],
+            "prove-all-pairs": ["prove", "--all-pairs"],
+            "prove-balance-all-pairs": ["prove", "--balance", "--all-pairs"],
             "balance": ["balance"]}[command]
     modules = _modules_after(argv + ["--config", str(tmp_path / "net.json"),
                                      "--out", str(tmp_path / "o")])
@@ -758,6 +815,7 @@ def test_network_file_mutations_keep_the_exit_code_contract(tmp_path, capsys):
     for base, path, value, command in itertools.product(
             _NETWORK_FUZZ_BASES, _NETWORK_FUZZ_FIELDS, _FUZZ_VALUES,
             [["prove", "--pair", "A,B"], ["prove", "--balance", "--pair", "B,C"],
+             ["prove", "--all-pairs"], ["prove", "--balance", "--all-pairs"],
              ["balance"]]):
         cfg.write_text(json.dumps(_mutated({"network": base}, path, value).get("network")))
         case = (_NETWORK_FUZZ_BASES.index(base), path, value, command[:2])

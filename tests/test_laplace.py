@@ -34,14 +34,13 @@ from kinvar import (
 )
 from kinvar import linear
 from kinvar.laplace import (
-    _certificate_failure,
     _rate_map,
     _reversible_path_constant,
     cofactor_numerator,
     _scaled_det,
     exact_entries,
 )
-from kinvar.network import merged_rates, potentials
+from kinvar.network import balance_certificate, merged_rates, potentials
 
 
 def _p(*coeffs):
@@ -278,10 +277,11 @@ def test_prove_unbalanced_triangle_fails_with_diagnosis():
     payload = report.to_dict()
     assert set(payload) == {
         "pair", "K_num", "K_den", "verified", "method", "failing_coefficient",
-        "cycle_violations",
+        "cycle_violations", "certificate",
     }
     assert payload["verified"] is False
     assert payload["method"] == "cofactor"
+    assert payload["certificate"] == "rate products around 1 -> 2 -> 0 -> 1 differ"
 
 
 def test_prove_requires_reversible_path():
@@ -331,7 +331,7 @@ _LOGGED_CASES = {
     "drain": ([("A", "B", 2.0, 1.0), ("B", "C", 3.0, 0.0)],
               "edge 1 -> 2 has no reverse"),
     "triangle": ([("A", "B", 1.0, 1.0), ("B", "C", 1.0, 1.0), ("C", "A", 1.0, 2.0)],
-                 "flux mismatch on edge"),
+                 "rate products around 1 -> 2 -> 0 -> 1 differ"),
 }
 
 
@@ -342,10 +342,13 @@ def test_proof_method_is_logged(caplog, case):
     with caplog.at_level(logging.DEBUG, logger="kinvar.laplace"):
         report = prove_fixed_proportion(M, 0, 1)
     records = [r.getMessage() for r in caplog.records if r.name == "kinvar.laplace"]
-    assert len(records) == 1
-    taken, why = records[0].split(": ", 1)
+    # the exact view's line, then the proof's
+    assert len(records) == 2
+    assert records[0].startswith("exact view of 3 species: ")
+    taken, why = records[1].split(": ", 1)
     assert taken == f"proof {report.method}"
     assert why.startswith(reason)
+    assert report.certificate_failure == (None if case == "balanced" else why)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -409,7 +412,7 @@ def test_float_and_exact_paths_agree_on_balanced(seed, n, extra_edges, variant, 
     M = build_rate_matrix(make_network(list(net.names), reactions))
     E = exact_entries(M)
     float_balanced = linear._symmetric_form(M.entries)[0] is not None
-    assert float_balanced == (_certificate_failure(E, _rate_map(E)) is None)
+    assert float_balanced == (balance_certificate(len(E), _rate_map(E)).failure is None)
 
 
 def test_path_equilibrium_constant_chain():
