@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import replace
@@ -164,6 +165,8 @@ def cmd_invariants(args) -> int:
     from .invariants import DEFAULT_TOL, InvariantSpec, evaluate_invariant, resolve_expected_K
     from .scenario import run_scenario
 
+    if args.tol is not None and not 0.0 <= args.tol < math.inf:
+        raise ConfigError(f"--tol must be finite and nonnegative, got {args.tol!r}")
     sc, out_dir = _prepare(args)
     if not sc.invariants:
         raise ConfigError("scenario defines no invariants")

@@ -17,7 +17,9 @@ rates, so it refuses a matrix whose diagonal is not exactly minus its
 column's rates. Fixed-proportion proofs try an exact detailed-balance
 certificate first and expand cofactors only when it fails; the certificate,
 like the exact entries and rates it reads, is shared by every pair of one
-rate matrix through :func:`exact_view`.
+rate matrix through :func:`exact_view`. Without a certificate, a pair's
+constant is one shortest-path product, on a proof's Fraction rates and on a
+network view's ``exact_rates`` alike.
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ from typing import Optional, Sequence
 from .errors import NoReversiblePathError
 from .network import (
     BalanceCertificate,
+    CycleCondition,
     ReactionNetwork,
     balance_certificate,
     balanced_rates,
     cycle_products,
     first_order_view,
-    merged_rates,
     path_products,
     reversible_edges,
     shortest_path,
@@ -416,29 +418,6 @@ def _reversible_path_constant(n: int, rates: dict, a: int, b: int) -> Optional[F
     return Fraction(*path_products(rates, path))
 
 
-@dataclass(frozen=True)
-class CycleViolation:
-    """A fundamental cycle whose forward and backward rate products differ."""
-
-    cycle: tuple
-    forward_product: Fraction
-    backward_product: Fraction
-
-    @property
-    def mismatch(self) -> Fraction:
-        hi = max(self.forward_product, self.backward_product)
-        lo = min(self.forward_product, self.backward_product)
-        return hi / lo
-
-    def to_dict(self) -> dict:
-        return {
-            "cycle": list(self.cycle),
-            "forward_product": str(self.forward_product),
-            "backward_product": str(self.backward_product),
-            "mismatch": str(self.mismatch),
-        }
-
-
 def exact_cycle_violations(M) -> list:
     """Fundamental-cycle balance failures of the merged reversible graph.
 
@@ -483,11 +462,11 @@ class ExactView:
 
     @cached_property
     def cycle_violations(self) -> tuple:
-        """The :class:`CycleViolation` of each unbalanced basis cycle; none when
-        the certificate holds."""
+        """The :class:`~kinvar.network.CycleCondition` of each unbalanced basis
+        cycle, in Fractions; none when the certificate holds."""
         if self.certificate.failure is None:
             return ()
-        return tuple(CycleViolation(tuple(cycle), fwd, back)
+        return tuple(CycleCondition(tuple(cycle), fwd, back)
                      for cycle, fwd, back in cycle_products(len(self.entries), self.rates)
                      if fwd != back)
 
@@ -643,26 +622,26 @@ def path_equilibrium_constant(net: ReactionNetwork, a: int, b: int) -> Fraction:
     pair, its own merged rate ratio).
 
     When the exact certificate of the network's
-    :func:`~kinvar.network.first_order_view` holds, K is its
-    ``h_b / h_a``, which equals every path's product exactly. Otherwise the
-    path is searched on the float rates, and only the rates of its steps are
-    summed as Fractions.
+    :func:`~kinvar.network.first_order_view` holds, K is its ``h_b / h_a``,
+    which equals every path's product exactly. Otherwise K is the proof's
+    :func:`_reversible_path_constant` on the view's ``exact_rates``, whose
+    power-of-two scale cancels: each product has one factor per step.
     """
     if not (0 <= a < net.n and 0 <= b < net.n):
         raise IndexError("species index out of range")
     if a == b:
         return Fraction(1)
-    certificate = first_order_view(net).certificate
+    view = first_order_view(net)
+    certificate = view.certificate
     if certificate.failure is None and certificate.root[a] == certificate.root[b]:
         return certificate.constant(a, b)
-    path = shortest_path(net.n, reversible_edges(merged_rates(net)), a, b)
-    if path is None:
+    K = _reversible_path_constant(net.n, view.exact_rates, a, b)
+    if K is None:
         raise NoReversiblePathError(
             f"species {net.names[a]!r} and {net.names[b]!r} are not connected "
             "by reversible steps"
         )
-    steps = set(zip(path, path[1:])) | set(zip(path[1:], path))
-    return Fraction(*path_products(merged_rates(net, Fraction, steps), path))
+    return K
 
 
 def exact_balance(M) -> list:

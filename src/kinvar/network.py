@@ -5,7 +5,9 @@ forward and (possibly zero) backward rate constant.  Irreversible reactions
 are ordinary reactions with ``k_backward == 0``.  The module also provides
 the thermodynamic consistency machinery: cycle (Wegscheider) conditions on
 the reversible subgraph, a deterministic rebalancing procedure, and positive
-conservation vectors of the stoichiometry.
+conservation vectors of the stoichiometry.  A network's
+:func:`first_order_view` keeps its merged rates summed exactly
+(``exact_rates``), from which every pair's path constant is read.
 """
 
 from __future__ import annotations
@@ -96,23 +98,39 @@ class ReactionNetwork:
 
 @dataclass(frozen=True)
 class CycleCondition:
-    """One basis cycle of the reversible subgraph.
+    """One basis cycle of the reversible subgraph, in the arithmetic of the rates.
 
-    ``edges`` lists the traversed directed steps ``(u, v)``; ``forward_product``
+    ``cycle`` is the closed walk ``u -> v -> ... -> u``; ``forward_product``
     and ``backward_product`` are the :func:`path_products` along and against
-    the traversal.
+    it. :func:`check_cycle_conditions` reports every basis cycle in floats,
+    and the exact proof (``kinvar.laplace``) each unequal one in Fractions.
     """
 
-    edges: tuple[tuple[int, int], ...]
-    forward_product: float
-    backward_product: float
+    cycle: tuple[int, ...]
+    forward_product: float | Fraction
+    backward_product: float | Fraction
 
     @property
-    def mismatch(self) -> float:
+    def mismatch(self) -> float | Fraction:
+        """The larger product over the smaller one."""
         hi = max(self.forward_product, self.backward_product)
-        if hi == 0.0:
-            return 0.0
-        return abs(self.forward_product - self.backward_product) / hi
+        lo = min(self.forward_product, self.backward_product)
+        return hi / lo
+
+    def to_dict(self) -> dict:
+        return {
+            "cycle": list(self.cycle),
+            "forward_product": str(self.forward_product),
+            "backward_product": str(self.backward_product),
+            "mismatch": str(self.mismatch),
+        }
+
+
+def _relative_mismatch(c: CycleCondition) -> float:
+    hi = max(c.forward_product, c.backward_product)
+    if hi == 0.0:
+        return 0.0
+    return abs(c.forward_product - c.backward_product) / hi
 
 
 @dataclass(frozen=True)
@@ -122,7 +140,8 @@ class CycleConditionReport:
 
     @property
     def max_mismatch(self) -> float:
-        return max((c.mismatch for c in self.cycles), default=0.0)
+        """The largest relative mismatch ``|along - against| / max(along, against)``."""
+        return max(map(_relative_mismatch, self.cycles), default=0.0)
 
     @property
     def satisfied(self) -> bool:
@@ -251,24 +270,21 @@ def _edge_endpoints(rxn: Reaction) -> tuple[int, int]:
     return rxn.reactants[0][0], rxn.products[0][0]
 
 
-def merged_rates(net: ReactionNetwork, number=float,
-                 only=None) -> dict[tuple[int, int], object]:
+def merged_rates(net: ReactionNetwork, number=float) -> dict[tuple[int, int], object]:
     """Sparse merged rate map ``rates[(u, v)] = total k(u -> v)`` of a first-order network.
 
     Parallel reactions between one pair of species add up, so the map holds
     the rates the dynamics see.  Only positive rates get a key, and keys are
     inserted in reaction order.  ``number`` converts each rate constant, e.g.
-    ``float`` or ``Fraction``; a set ``only`` of steps ``(u, v)`` keeps just
-    those keys, and converts no other rate.
+    ``float`` or ``Fraction``.
     """
     rates: dict[tuple[int, int], object] = {}
     for rxn in net.reactions:
         if not rxn.first_order:
             raise ValueError("merged rates need an all-first-order network")
         u, v = _edge_endpoints(rxn)
-        if only is None or (u, v) in only:
-            rates[(u, v)] = rates.get((u, v), 0) + number(rxn.k_forward)
-        if rxn.reversible and (only is None or (v, u) in only):
+        rates[(u, v)] = rates.get((u, v), 0) + number(rxn.k_forward)
+        if rxn.reversible:
             rates[(v, u)] = rates.get((v, u), 0) + number(rxn.k_backward)
     return rates
 
@@ -430,7 +446,7 @@ def check_cycle_conditions(net: ReactionNetwork, tol: float = 1e-9) -> CycleCond
     of species count as one edge carrying their summed rates.
     """
     _require_first_order(net, "check_cycle_conditions")
-    cycles = [CycleCondition(tuple(zip(cycle, cycle[1:])), fwd, bwd)
+    cycles = [CycleCondition(tuple(cycle), fwd, bwd)
               for cycle, fwd, bwd in cycle_products(net.n, merged_rates(net))]
     return CycleConditionReport(tuple(cycles), tol)
 
@@ -508,8 +524,9 @@ def rate_entries(net: ReactionNetwork) -> dict[tuple[int, int], float]:
 
     ``dC/dt = M C``: a reaction ``u -> v`` adds its rate to ``M[v, u]`` and
     subtracts it from ``M[u, u]``, and a reversible one then does the same
-    for ``v -> u``.  Each entry sums from 0.0 in reaction order, so parallel
-    reactions round as they would in a dense accumulation.  ``M`` is
+    for ``v -> u``.  The off-diagonal entries are the :func:`merged_rates`
+    and each diagonal entry sums in reaction order, so parallel reactions
+    round as they would in a dense accumulation.  ``M`` is
     assembled here alone: :func:`~kinvar.linear.build_rate_matrix` fills an
     array from these entries and ``kinvar prove`` nested lists, so the proof
     needs no numpy; each checks the signs and column sums of its form of ``M``.
@@ -519,19 +536,14 @@ def rate_entries(net: ReactionNetwork) -> dict[tuple[int, int], float]:
     overflows the float range.
     """
     _require_first_order(net, "a rate matrix")
+    # the off-diagonal entries first
+    entries = {(v, u): k for (u, v), k in merged_rates(net).items()}
     diag = [0.0] * net.n
-    entries: dict[tuple[int, int], float] = {}  # the off-diagonal ones first
-    get = entries.get
     for rxn in net.reactions:
-        (u, _), = rxn.reactants
-        (v, _), = rxn.products
-        k = rxn.k_forward
-        entries[v, u] = get((v, u), 0.0) + k
-        diag[u] -= k
-        k = rxn.k_backward
-        if k > 0.0:
-            entries[u, v] = get((u, v), 0.0) + k
-            diag[v] -= k
+        u, v = _edge_endpoints(rxn)
+        diag[u] -= rxn.k_forward
+        if rxn.reversible:
+            diag[v] -= rxn.k_backward
     entries.update(((i, i), x) for i, x in enumerate(diag) if x)
     if not all(map(math.isfinite, entries.values())):
         (i, j), x = next(item for item in entries.items() if not math.isfinite(item[1]))
@@ -656,13 +668,13 @@ class FirstOrderView:
         return tuple(map(tuple, out))
 
     @cached_property
-    def certificate(self) -> BalanceCertificate:
-        """The network's :class:`BalanceCertificate`.
+    def exact_rates(self) -> dict[tuple[int, int], int]:
+        """The :func:`merged_rates` summed exactly, as Fractions would be, in integers.
 
-        The merged rates are summed exactly, as Fractions would be, but in
-        integers: every rate is scaled by the one power of two that makes each
-        rate constant an integer, a factor that cancels from every rate ratio
-        and cycle product. Integer products cost a fraction of Fraction ones.
+        Every rate is scaled by the one power of two that makes each rate
+        constant an integer, a factor that cancels from every rate ratio,
+        cycle product and path constant. Integer products cost a fraction of
+        Fraction ones.
         """
         net = self.net
         ks = [k for rxn in net.reactions for k in (rxn.k_forward, rxn.k_backward)]
@@ -672,7 +684,12 @@ class FirstOrderView:
             p, q = k.as_integer_ratio()
             return p << (shift + 1 - q.bit_length())
 
-        return balance_certificate(net.n, merged_rates(net, scaled))
+        return merged_rates(net, scaled)
+
+    @cached_property
+    def certificate(self) -> BalanceCertificate:
+        """The :class:`BalanceCertificate` of the :attr:`exact_rates`."""
+        return balance_certificate(self.net.n, self.exact_rates)
 
 
 # one slot: callers take one network at a time through its pairs, and a slot
@@ -740,9 +757,9 @@ def _coefficient_tree_weights(net: ReactionNetwork) -> list[float] | None:
     """Least conservation weights of a network of reactions ``u (cu) <=> v (cv)``.
 
     Each reaction forces ``w_u cu = w_v cv``, so the map ``{(u, v): cu,
-    (v, u): cv}`` is a rate map whose :func:`potentials` are the weights up
-    to one factor per connected component, provided the :func:`path_products`
-    around every basis cycle agree.  Each component is scaled to smallest
+    (v, u): cv}`` is a rate map whose :func:`balance_certificate` holds
+    exactly when positive weights exist, with the weights as potentials up to
+    one factor per component root.  Each component is scaled to smallest
     weight 1, in exact arithmetic.  Returns None when a reaction has several
     species on one side or one pair of species carries two coefficient sets.
     """
@@ -754,23 +771,19 @@ def _coefficient_tree_weights(net: ReactionNetwork) -> list[float] | None:
         (v, cv), = rxn.products
         if coeffs.setdefault((u, v), cu) != cu or coeffs.setdefault((v, u), cv) != cv:
             return None
-    forest = spanning_forest(net.n, coeffs)
-    for cycle in forest.cycles():
-        along, against = path_products(coeffs, cycle)
-        if along != against:
-            walk = " -> ".join(net.names[i] for i in cycle)
-            raise ConservationError(
-                f"no positive conservation vector found: the coefficients around "
-                f"{walk} multiply to {along} one way and {against} the other")
-    h = potentials(net.n, {pair: Fraction(c) for pair, c in coeffs.items()})
-    root = {}
-    for v in forest.order:
-        p = forest.parent[v]
-        root[v] = v if p is None else root[p]
+    certificate = balance_certificate(net.n, coeffs)
+    if certificate.failure is not None:
+        # every coefficient has its reverse, so a basis cycle failed
+        cycle, along, against = next(c for c in cycle_products(net.n, coeffs) if c[1] != c[2])
+        walk = " -> ".join(net.names[i] for i in cycle)
+        raise ConservationError(
+            f"no positive conservation vector found: the coefficients around "
+            f"{walk} multiply to {along} one way and {against} the other")
+    h = [Fraction(p, q) for p, q in certificate.h]
     low = {}
-    for v, r in root.items():
+    for v, r in enumerate(certificate.root):
         low[r] = min(low.get(r, h[v]), h[v])
-    return [float(h[v] / low[root[v]]) for v in range(net.n)]
+    return [float(h[v] / low[certificate.root[v]]) for v in range(net.n)]
 
 
 def _lp_conservation_vector(net: ReactionNetwork) -> np.ndarray:

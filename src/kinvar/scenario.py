@@ -234,7 +234,8 @@ def parse_grid_flag(text: str) -> GridSpec:
     parts = text.split(",")
     if len(parts) != 3:
         raise ConfigError("--grid expects tmax,points,spacing")
-    return GridSpec(float(parts[0]), int(parts[1]), parts[2])
+    return GridSpec(config_number(parts[0], "--grid t_max"),
+                    config_number(parts[1], "--grid points", int), parts[2])
 
 
 # ---------------------------------------------------------------------------

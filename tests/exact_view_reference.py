@@ -12,14 +12,13 @@ from typing import Optional
 
 from kinvar.errors import NoReversiblePathError
 from kinvar.laplace import (
-    CycleViolation,
     ProofReport,
     _rate_map,
     _reversible_path_constant,
     cofactor_numerator,
     exact_entries,
 )
-from kinvar.network import cycle_products, potentials
+from kinvar.network import CycleCondition, cycle_products, potentials
 
 
 def _certificate_failure(entries, rates: dict) -> Optional[str]:
@@ -56,7 +55,7 @@ def prove_fixed_proportion(M, a: int, b: int) -> ProofReport:
         return ProofReport(pair=(a, b), K=K, verified=True, failing_coefficient=None,
                            cycle_violations=(), method="certificate",
                            certificate_failure=None, entries=entries)
-    violations = tuple(CycleViolation(tuple(cycle), fwd, back)
+    violations = tuple(CycleCondition(tuple(cycle), fwd, back)
                        for cycle, fwd, back in cycle_products(n, rates) if fwd != back)
     num_ba = cofactor_numerator(entries, a, b)
     num_ab = cofactor_numerator(entries, b, a)

@@ -374,6 +374,36 @@ def test_grid_out_of_range_exits_2(tmp_path, capsys, grid, flag, message):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("1,abc,linear", "--grid points must be a number, got 'abc'"),
+    ("1,1e3,linear", "--grid points must be a number, got '1e3'"),
+    ("abc,10,linear", "--grid t_max must be a number, got 'abc'"),
+])
+def test_malformed_grid_flag_names_the_part(tmp_path, capsys, flag, message):
+    cfg = _write_scenario(tmp_path)
+    for argv in (["simulate", "--config", str(cfg)], ["fig1"]):
+        assert main(argv + ["--out", str(tmp_path / "o"), "--grid", flag]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("tol, code", [
+    ("nan", 2), ("-1", 2), ("inf", 2), ("0", 1), ("1e-3", 0),
+])
+def test_tol_must_be_finite_and_nonnegative(tmp_path, capsys, tol, code):
+    # butene deviates by about 2e-4 from its path constant
+    cfg = _butene_scenario(tmp_path)
+    out = tmp_path / "i"
+    assert main(["invariants", "--config", str(cfg), "--out", str(out), "--tol", tol]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err == f"error: --tol must be finite and nonnegative, got {float(tol)!r}\n"
+        assert not out.exists()
+    else:
+        assert err == ""
+        assert json.loads((out / "invariants.json").read_text())["tol"] == float(tol)
+
+
 def test_overflowing_equilibrium_constant_exits_2(tmp_path, capsys):
     # K = 2 / 5e-324 lies beyond the largest float
     network = {"species": ["A", "B"],

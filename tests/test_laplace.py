@@ -40,7 +40,7 @@ from kinvar.laplace import (
     _scaled_det,
     exact_entries,
 )
-from kinvar.network import balance_certificate, merged_rates, potentials
+from kinvar.network import CycleCondition, balance_certificate, merged_rates, potentials
 
 
 def _p(*coeffs):
@@ -435,8 +435,8 @@ def test_path_equilibrium_constant_unbalanced_takes_shortest_path():
 
 
 def test_path_equilibrium_constant_sums_parallel_rates_exactly():
-    # the path is found on the float rates, but the rates of its steps are
-    # summed as Fractions; the whole network in Fractions gives the same K
+    # the parallel rates are summed exactly, as the whole network in
+    # Fractions sums them, not as their float sums
     net = parallel_path_network()
     K = path_equilibrium_constant(net, 0, 2)
     assert K == _reversible_path_constant(net.n, merged_rates(net, Fraction), 0, 2)
@@ -457,6 +457,46 @@ def test_float_and_exact_cycle_verdicts_agree(rng):
                 assert float_verdict
             violated += not exact_verdict
     assert violated > 5  # the perturbed networks with cycles
+
+
+def _undirected(condition):
+    """A cycle condition's walk and products read from its least vertex
+    towards its smaller neighbour, so both directions of one cycle match."""
+    walk = list(condition.cycle[:-1])
+    start = walk.index(min(walk))
+    walk = walk[start:] + walk[:start]
+    fwd, back = condition.forward_product, condition.backward_product
+    if walk[-1] < walk[1]:
+        walk, fwd, back = walk[:1] + walk[:0:-1], back, fwd
+    return tuple(walk), fwd, back
+
+
+def test_exact_cycle_violations_are_float_cycle_conditions():
+    # one CycleCondition type in both arithmetics; the float cycles follow
+    # the reaction order and the exact ones the row-major matrix, so a cycle
+    # may run the other way
+    nets = [butene_cycle()]
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        net, _ = balanced_integer_network(rng, int(rng.integers(3, 9)),
+                                          extra_edges=int(rng.integers(1, 4)))
+        nets.append(perturbed_network(rng, net))
+    checked = 0
+    for net in nets:
+        floats = {}
+        for condition in check_cycle_conditions(net).cycles:
+            assert isinstance(condition, CycleCondition)
+            walk, fwd, back = _undirected(condition)
+            floats[walk] = (fwd, back)
+        for violation in exact_cycle_violations(build_rate_matrix(net)):
+            assert isinstance(violation, CycleCondition)
+            walk, fwd, back = _undirected(violation)
+            assert type(fwd) is Fraction and type(back) is Fraction
+            float_fwd, float_back = floats[walk]
+            assert float(fwd) == pytest.approx(float_fwd, rel=1e-14, abs=0)
+            assert float(back) == pytest.approx(float_back, rel=1e-14, abs=0)
+            checked += 1
+    assert checked > 12
 
 
 def test_path_equilibrium_constant_is_potential_ratio(rng):

@@ -1,11 +1,14 @@
 """The first-order view: one slot of per-network data shared by every pair."""
 
+import dataclasses
 import logging
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import view_reference
 from conftest import (
@@ -147,6 +150,42 @@ def test_K_equals_the_breadth_first_product_on_every_route(make):
         for b in range(net.n):
             assert path_equilibrium_constant(net, a, b) == \
                 view_reference.path_equilibrium_constant(net, a, b)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    extra_edges=st.integers(0, 3),
+    variant=st.sampled_from(["parallel", "perturbed", "irreversible"]),
+    index=st.integers(0, 20),
+)
+def test_uncertified_K_equals_the_breadth_first_product(seed, n, extra_edges, variant,
+                                                        index):
+    rng = np.random.default_rng(seed)
+    net, _ = balanced_integer_network(rng, n, extra_edges)
+    reactions = list(net.reactions)
+    i = index % len(reactions)
+    if variant == "parallel":
+        # a decimal step against reaction i, whose float sums round
+        r = reactions[i]
+        kf, kb = (round(float(x), 1) for x in rng.uniform(0.1, 2.0, size=2))
+        reactions.append(Reaction(r.products, r.reactants, kf, kb))
+    elif variant == "perturbed":
+        reactions[i] = dataclasses.replace(
+            reactions[i], k_backward=reactions[i].k_backward * float(rng.uniform(0.5, 2.0)))
+    else:
+        reactions[i] = dataclasses.replace(reactions[i], k_backward=0.0)
+    net = make_network(list(net.names), reactions)
+    for a in range(net.n):
+        for b in range(net.n):
+            try:
+                expected = view_reference.path_equilibrium_constant(net, a, b)
+            except NoReversiblePathError:
+                with pytest.raises(NoReversiblePathError):
+                    path_equilibrium_constant(net, a, b)
+            else:
+                assert path_equilibrium_constant(net, a, b) == expected
 
 
 def test_certificate_verdicts():

@@ -26,8 +26,7 @@ def path_equilibrium_constant(net, a: int, b: int) -> Fraction:
             f"species {net.names[a]!r} and {net.names[b]!r} are not connected "
             "by reversible steps"
         )
-    steps = set(zip(path, path[1:])) | set(zip(path[1:], path))
-    return Fraction(*path_products(merged_rates(net, Fraction, steps), path))
+    return Fraction(*path_products(merged_rates(net, Fraction), path))
 
 
 def initial_rate(net, c: list, s: int) -> float:
