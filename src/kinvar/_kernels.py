@@ -9,38 +9,50 @@ times the product of ``c[i]`` over ``factors``, which lists each rate-law
 species once per unit of its power, and each ``(i, coeff)`` in ``changes``
 adds ``coeff * rate`` to ``dc/dt[i]``.
 
-:func:`integrate_dp54` is one step controller in plain Python: the starting
-step, the PI step-size control, rejections, the negative-concentration and
-step-underflow stops and the output loop. The per-species work of a step runs
-in nine small functions generated from the *shape* of the terms, ``n`` and
-every term's ``(factors, changes)``: ``rhs``, ``stage1`` to ``stage5`` (a
-stage input followed by the right-hand side at it), ``stage6`` (the new state
-and its right-hand side), ``error`` (the scaled error norm) and ``dense``
-(one output row by the quartic interpolant). Each is straight-line code over
-tuples of Python floats. The systems here are small (2-40 species): indexing
-numpy arrays element by element would box every read as a numpy scalar, and
-list comprehensions over ``zip`` pay the interpreter's per-element overhead
-several times over on two or three entries. The generated source holds only
-integer indices, the ``repr`` of the stoichiometric increments and the
-Dormand-Prince coefficients, never a name from the input; rate constants and
-tolerances are bound when a run starts, through a maker
-``mk(rates, atol, rtol)`` that returns the function as a closure, so one
-compiled set serves every network of one shape, whatever its rates.
+:func:`integrate_dp54` chooses the starting step in plain Python and hands
+the rest of the run to ``loop``, one step controller generated from the
+*shape* of the terms, ``n`` and every term's ``(factors, changes)``: the
+step-size guard, the six stages, the error norm (with its ``OverflowError``
+stop), the negative-concentration stop, dense output onto the grid rows, PI
+step-size control and the NaN stop. For a small shape every stage and its
+right-hand side, the error norm and the quartic interpolant are written
+inline, and every species value and stage derivative is a local name, so no
+stage hands its values on through a call or a tuple. The systems here are
+small (2-40 species): indexing numpy arrays element by element would box
+every read as a numpy scalar, and list comprehensions over ``zip`` pay the
+interpreter's per-element overhead several times over on two or three
+entries.
 
-Each function is compiled as its own unit: at 40 species the largest unit
-peaks at 1.1 MB of compile memory, where one function holding all nine
-bodies peaks at 4.7 MB. The compiled makers sit in a least-recently-used
-cache of ``_CODE_SLOTS`` shapes. It holds code only, nothing a run computes,
-so every run does all its arithmetic and its result does not depend on what
-ran before. It has more than one slot because a caller that alternates a
-few shapes (the chain and the two dimerization shapes of one benchmark pass)
-would otherwise recompile on every switch: about 27 ms at 40 species, 2-3 ms
-for two or three.
+Compile memory grows with the length of a unit, so the fused loop is used
+only when its source fits :data:`_SOURCE_BUDGET`. The fused loop of two
+species is 6.4 KB long and peaks at 0.49 MB of compile memory
+(``tracemalloc``), that of the stiff three-species network 8.2 KB and
+0.59 MB; the 40-species chain's would be 79 KB and 6.1 MB. Past the budget,
+the same template writes calls to eight per-stage units on tuples:
+``stage1`` to ``stage5`` (a stage input followed by the right-hand side at
+it), ``stage6`` (the new state and its right-hand side), ``error`` and
+``dense``, each compiled on its own; the chain's largest, ``error``, is
+14.8 KB and peaks at 1.15 MB. Either path also compiles ``rhs`` for the
+starting step, and nothing it does not run.
+
+The generated source holds only integer indices, the ``repr`` of the
+stoichiometric increments and the Dormand-Prince coefficients, never a name
+from the input; rate constants and tolerances are bound when a run starts,
+through a maker ``mk(rates, atol, rtol)`` that returns the function as a
+closure, so one compiled set serves every network of one shape, whatever
+its rates. The path is chosen once per shape, and the compiled makers sit in
+a least-recently-used cache of ``_CODE_SLOTS`` shapes. It holds code only,
+nothing a run computes, so every run does all its arithmetic and its result
+does not depend on what ran before. It has more than one slot because a
+caller that alternates a few shapes (the chain and the two dimerization
+shapes of one benchmark pass) would otherwise recompile on every switch:
+about 27 ms at 40 species, 2-3 ms for two or three.
 
 Python floats are IEEE doubles like float64. Every generated sum and product
 keeps the operand order of :func:`rhs_packed` and of the list-based loop the
 generated code replaced (kept in the tests as the reference), so every
-trajectory, step count and failure time is bit-identical to it.
+trajectory, step count and failure time is bit-identical to it, on either
+path.
 """
 
 from __future__ import annotations
@@ -114,6 +126,11 @@ def rhs_packed(c, terms, n):
 # compiled shapes kept; a benchmark pass of the chain and the two
 # dimerization shapes needs three
 _CODE_SLOTS = 4
+# the longest fused step loop, in characters; a shape whose fused loop is
+# longer runs the per-stage units instead. A fused loop of this length peaks
+# at 1.09 MB of compile memory, below the 1.15 MB of the 40-species chain's
+# largest per-stage unit (error, 14.8 KB)
+_SOURCE_BUDGET = 15_000
 _K_ALL = tuple(f"k{s}" for s in range(7))
 
 
@@ -135,7 +152,7 @@ def _weighted(weights, i):
 
 
 def _rhs_lines(layout, n, c):
-    """Lines setting the term rates at state names ``c``, and dc/dt as a tuple.
+    """Lines setting the term rates at state names ``c``, and each dc_i/dt.
 
     Each derivative adds its increments from 0.0 in term order, as
     :func:`rhs_packed` does. ``rhs_packed`` skips a term whose rate is 0.0;
@@ -151,48 +168,208 @@ def _rhs_lines(layout, n, c):
             co = float(co)
             term = f"r{j}" if abs(co) == 1.0 else f"{abs(co)!r} * r{j}"
             sums[int(i)].append(("- " if co < 0.0 else "+ ") + term)
-    return lines, _tuple(" ".join(s) for s in sums)
+    return lines, [" ".join(s) for s in sums]
 
 
-def _unit(name, params, body, n_terms):
-    """Source of ``mk(rates, atol, rtol)``, which returns ``name`` as a closure."""
-    head = ["def mk(rates, atol, rtol):"]
+def _stage_lines(s, n, z):
+    """Lines setting the state names ``z`` to the input of stage ``s``."""
+    return [f"{z[i]} = y{i} + h * ({_weighted(_A[s - 1], i)})" for i in range(n)]
+
+
+def _error_lines(n):
+    """Lines summing the squared scaled errors of the step from y to w in
+    ``err``, and the expression of the norm.
+
+    The larger of |y_i| and |w_i| keeps |y_i| when |w_i| is NaN, as the
+    comparison ``abs(yn) > ymag`` of the list loop does.
+    """
+    lines = ["err = 0.0"]
+    for i in range(n):
+        lines += [f"u = abs(y{i})", f"v = abs(w{i})",
+                  f"err += (({_weighted(_E, i)}) * h / (atol + rtol * (v if v > u else u))) ** 2"]
+    return lines, f"(err / {n}) ** 0.5"
+
+
+def _dense_lines(n):
+    """Lines setting the interpolant weights at ``theta``, and the row they give."""
+    lines = [f"b{s} = theta * ({p0!r} + theta * ({p1!r} + theta * ({p2!r} + theta * {p3!r})))"
+             for s, (p0, p1, p2, p3) in enumerate(_P)]
+    row = [f"y{i} + h * ({' + '.join(['0.0'] + [f'b{s} * k{s}_{i}' for s in range(7)])})"
+           for i in range(n)]
+    return lines, _tuple(row)
+
+
+def _unit(name, params, body, n_terms, units=()):
+    """Source of ``mk(rates, atol, rtol, *units)``, which returns ``name`` as a closure."""
+    head = [f"def mk({', '.join(['rates', 'atol', 'rtol', *units])}):"]
     head += ["    " + line for line in _unpack(_names("q", n_terms), "rates")]
     head += [f"    def {name}({', '.join(params)}):"]
     return "\n".join(head + ["        " + line for line in body]
                      + [f"    return {name}", ""])
 
 
-def _sources(n, layout):
-    """``(name, source)`` of the nine per-species units of one shape."""
+def _step_units(n, layout):
+    """``{name: source}`` of the per-stage units that a long step loop calls."""
     y, z, w = _names("y", n), _names("z", n), _names("w", n)
+    rates, sums = _rhs_lines(layout, n, z)
 
     def unpack_k(stages):
         return [line for s in range(stages) for line in _unpack(_names(f"k{s}_", n), f"k{s}")]
 
-    rhs_rates, rhs_out = _rhs_lines(layout, n, z)
-    yield "rhs", _unit("rhs", ["c"], _unpack(z, "c") + rhs_rates + [f"return {rhs_out}"],
-                       len(layout))
-    for s, weights in enumerate(_A, start=1):
-        stage = [f"{z[i]} = {y[i]} + h * ({_weighted(weights, i)})" for i in range(n)]
-        out = f"{_tuple(z)}, {rhs_out}" if s == 6 else rhs_out
-        body = _unpack(y, "y") + unpack_k(s) + stage + rhs_rates + [f"return {out}"]
-        yield f"stage{s}", _unit(f"stage{s}", ["y", *_K_ALL[:s], "h"], body, len(layout))
-    # the scaled error norm; the larger of |y_i| and |ynew_i| keeps |y_i| when
-    # |ynew_i| is NaN, as the comparison ``abs(yn) > ymag`` does
-    body = _unpack(y, "y") + _unpack(w, "w") + unpack_k(7) + ["err = 0.0"]
-    for i in range(n):
-        body += [f"u = abs({y[i]})", f"v = abs({w[i]})",
-                 f"err += (({_weighted(_E, i)}) * h / (atol + rtol * (v if v > u else u))) ** 2"]
-    body += [f"return (err / {n}) ** 0.5"]
-    yield "error", _unit("error", ["y", "w", *_K_ALL, "h"], body, len(layout))
-    body = [f"b{s} = theta * ({p0!r} + theta * ({p1!r} + theta * ({p2!r} + theta * {p3!r})))"
-            for s, (p0, p1, p2, p3) in enumerate(_P)]
-    body += _unpack(y, "y") + unpack_k(7)
-    rows = [f"{y[i]} + h * ({' + '.join(['0.0'] + [f'b{s} * k{s}_{i}' for s in range(7)])})"
-            for i in range(n)]
-    body += [f"return {_tuple(rows)}"]
-    yield "dense", _unit("dense", ["y", *_K_ALL, "h", "theta"], body, len(layout))
+    units = {}
+    for s in range(1, 7):
+        out = _tuple(sums) if s < 6 else f"{_tuple(z)}, {_tuple(sums)}"
+        body = _unpack(y, "y") + unpack_k(s) + _stage_lines(s, n, z) + rates + [f"return {out}"]
+        units[f"stage{s}"] = _unit(f"stage{s}", ["y", *_K_ALL[:s], "h"], body, len(layout))
+    lines, norm = _error_lines(n)
+    body = _unpack(y, "y") + _unpack(w, "w") + unpack_k(7) + lines + [f"return {norm}"]
+    units["error"] = _unit("error", ["y", "w", *_K_ALL, "h"], body, len(layout))
+    weights, row = _dense_lines(n)
+    body = weights + _unpack(y, "y") + unpack_k(7) + [f"return {row}"]
+    units["dense"] = _unit("dense", ["y", *_K_ALL, "h", "theta"], body, len(layout))
+    return units
+
+
+# the step controller of :func:`_loop_source`; each ``{block}`` is a run of
+# lines at the indentation of its placeholder
+_LOOP = """\
+{head}
+m = len(times)
+t_end = times[m - 1]
+floor = -10.0 * atol
+accepted = rejected = 0
+h_min, h_max = float('inf'), 0.0
+t = 0.0
+next_out = 1
+facold = 1e-4
+last_rejected = False
+status = {ok}
+while next_out < m:
+    if t + h > t_end:
+        h = t_end - t
+    if h < {tiny!r} * max(abs(t), 1e-8) or h <= 0.0:
+        status = {underflow}
+        break
+    {step}
+    evals += 6
+    try:
+        {error}
+    except OverflowError:  # a scaled error component squared past the float range
+        status = {overflow}
+        break
+    if err > 1.0:
+        fac11 = err ** 0.17
+        shrink = 0.9 / fac11
+        if shrink < 0.2:
+            shrink = 0.2
+        h *= shrink
+        last_rejected = True
+        rejected += 1
+        continue
+    t_new = t + h
+    if {negative}:
+        status = {negative_status}
+        t = t_new
+        break
+    accepted += 1
+    if h < h_min:
+        h_min = h
+    if h > h_max:
+        h_max = h
+    slack = 1e-13 * max(1.0, abs(t_new))
+    while next_out < m and times[next_out] <= t_new + slack:
+        theta = (times[next_out] - t) / h
+        if theta >= 1.0 - 1e-12:
+            rows.append({new_row})
+        else:
+            {dense}
+        next_out += 1
+    # a NaN norm passes the err > 1 test above, but it would turn the PI
+    # factor and then h into NaN, and no later step could end the run; a NaN
+    # on the step that fills the last row ends it as before
+    if err != err and next_out < m:
+        status = {nan}
+        t = t_new
+        break
+    # PI controller (Hairer's DOPRI5 coefficients)
+    if err == 0.0:
+        factor = 5.0
+    else:
+        factor = 0.9 * facold ** 0.04 / err ** 0.17
+        if factor > 5.0:
+            factor = 5.0
+        elif factor < 0.2:
+            factor = 0.2
+    if last_rejected and factor > 1.0:
+        factor = 1.0
+    facold = err if err > 1e-4 else 1e-4
+    last_rejected = False
+    t = t_new
+    {advance}
+    h *= factor
+return status, t, (accepted, rejected, evals, h_min, h_max)"""
+
+
+def _loop_source(n, layout, units=()):
+    """Source of the maker of ``loop``, the whole step loop of one shape.
+
+    ``loop(y, k0, h, times, rows, evals)`` takes the state at t = 0, its
+    derivative and the first step, appends a row to ``rows`` for every grid
+    time the steps pass, and returns ``(status, t, stats)``. With no
+    ``units`` every stage, the error norm and dense output are written
+    inline over one local name per species; with the names of the per-stage
+    units, it calls them on tuples instead.
+    """
+    if units:
+        head = []
+        step = [f"k{s} = stage{s}(y, {', '.join(_K_ALL[:s])}, h)" for s in range(1, 6)]
+        step += [f"ynew, k6 = stage6(y, {', '.join(_K_ALL[:6])}, h)"]
+        error = [f"err = error(y, ynew, {', '.join(_K_ALL)}, h)"]
+        negative = "any(v < floor for v in ynew)"
+        new_row = "ynew"
+        dense = [f"rows.append(dense(y, {', '.join(_K_ALL)}, h, theta))"]
+        advance = ["y = ynew", "k0 = k6"]
+    else:
+        y, w, k0, k6 = (_names(p, n) for p in ("y", "w", "k0_", "k6_"))
+        head = _unpack(_names("q", len(layout)), "rates") + _unpack(y, "y") + _unpack(k0, "k0")
+        step = []
+        for s in range(1, 7):
+            z = w if s == 6 else _names("z", n)
+            rates, sums = _rhs_lines(layout, n, z)
+            step += _stage_lines(s, n, z) + rates + [f"k{s}_{i} = {sums[i]}" for i in range(n)]
+        lines, norm = _error_lines(n)
+        error = lines + [f"err = {norm}"]
+        negative = " or ".join(f"{v} < floor" for v in w)
+        new_row = _tuple(w)
+        weights, row = _dense_lines(n)
+        dense = weights + [f"rows.append({row})"]
+        advance = [f"{a} = {b}" for a, b in zip(y + k0, w + k6)]
+    body = _LOOP.format(
+        head="\n".join(head), step="\n    ".join(step), error="\n        ".join(error),
+        dense="\n            ".join(dense), advance="\n    ".join(advance),
+        negative=negative, new_row=new_row, tiny=16.0 * _EPS, ok=STATUS_OK,
+        underflow=STATUS_STEP_UNDERFLOW, overflow=STATUS_OVERFLOW,
+        negative_status=STATUS_NEGATIVE, nan=STATUS_NAN_ERROR)
+    return _unit("loop", ["y", "k0", "h", "times", "rows", "evals"], body.splitlines(), 0, units)
+
+
+def _sources(n, layout):
+    """``(path, {name: source})`` of the units one shape compiles.
+
+    ``rhs`` comes first and ``loop`` last. The fused loop is used when its
+    source fits :data:`_SOURCE_BUDGET`; otherwise the loop calls the
+    per-stage units, which come between the two in the order ``loop`` takes
+    them.
+    """
+    z = _names("z", n)
+    rates, sums = _rhs_lines(layout, n, z)
+    rhs = _unit("rhs", ["c"], _unpack(z, "c") + rates + [f"return {_tuple(sums)}"],
+                len(layout))
+    fused = _loop_source(n, layout)
+    if len(fused) <= _SOURCE_BUDGET:
+        return "fused loop", {"rhs": rhs, "loop": fused}
+    units = _step_units(n, layout)
+    return "per-stage units", {"rhs": rhs, **units, "loop": _loop_source(n, layout, tuple(units))}
 
 
 def _compile(name, source):
@@ -203,22 +380,24 @@ def _compile(name, source):
 
 @functools.lru_cache(maxsize=_CODE_SLOTS)
 def _makers(shape):
-    n, layout = shape
-    return tuple(_compile(name, source) for name, source in _sources(n, layout))
+    """``(path, makers)`` of one shape, compiled in the order of :func:`_sources`."""
+    path, sources = _sources(*shape)
+    return path, tuple(_compile(name, source) for name, source in sources.items())
 
 
 def _kernel(terms, n, atol, rtol):
-    """The nine per-species functions for ``terms``, bound to their rates."""
+    """``(rhs, loop)`` for ``terms``, bound to their rates and tolerances."""
     misses = _makers.cache_info().misses
-    makers = _makers((n, tuple((factors, changes) for _, factors, changes in terms)))
+    path, makers = _makers((n, tuple((factors, changes) for _, factors, changes in terms)))
     state = "compiled" if _makers.cache_info().misses != misses else "reused"
-    log.debug("dp54 kernel for %d species and %d terms: %s", n, len(terms), state)
+    log.debug("dp54 kernel for %d species and %d terms (%s): %s", n, len(terms), path, state)
     rates = tuple(k for k, _, _ in terms)
-    return [mk(rates, atol, rtol) for mk in makers]
+    units = [mk(rates, atol, rtol) for mk in makers[:-1]]
+    return units[0], makers[-1](rates, atol, rtol, *units[1:])
 
 
 # ---------------------------------------------------------------------------
-# step controller
+# integration
 
 
 def integrate_dp54(terms, c0, times, rtol, atol):
@@ -238,16 +417,13 @@ def integrate_dp54(terms, c0, times, rtol, atol):
     n = len(y)
     m = len(times)
     rows = [y]
-    accepted = rejected = evals = 0
-    h_min, h_max = float("inf"), 0.0
     if m == 1:
-        return STATUS_OK, 0.0, np.array(rows), (0, 0, 0, h_min, h_max)
+        return STATUS_OK, 0.0, np.array(rows), (0, 0, 0, float("inf"), 0.0)
     t_end = times[m - 1]
-    rhs, stage1, stage2, stage3, stage4, stage5, stage6, error, dense = \
-        _kernel(terms, n, atol, rtol)
+    rhs, loop = _kernel(terms, n, atol, rtol)
 
     f0 = rhs(y)
-    evals += 1
+    evals = 1
 
     # starting step: scaled magnitudes of y and f, refined by an Euler probe.
     # A float ** raises OverflowError where * would give inf: a finite scaled
@@ -282,7 +458,7 @@ def integrate_dp54(terms, c0, times, rtol, atol):
         status = STATUS_OVERFLOW
     if status != STATUS_OK:
         rows.extend([float("nan")] * n for _ in range(m - 1))
-        return status, 0.0, np.array(rows), (0, 0, evals, h_min, h_max)
+        return status, 0.0, np.array(rows), (0, 0, evals, float("inf"), 0.0)
     d2 = (d2 / n) ** 0.5 / h0
     dm = d1 if d1 > d2 else d2
     if dm <= 1e-15:
@@ -293,86 +469,6 @@ def integrate_dp54(terms, c0, times, rtol, atol):
     if h > t_end:
         h = t_end
 
-    k0 = f0
-    floor = -10.0 * atol
-    t = 0.0
-    next_out = 1
-    facold = 1e-4
-    last_rejected = False
-
-    while next_out < m:
-        if t + h > t_end:
-            h = t_end - t
-        if h < 16.0 * _EPS * max(abs(t), 1e-8) or h <= 0.0:
-            status = STATUS_STEP_UNDERFLOW
-            break
-
-        k1 = stage1(y, k0, h)
-        k2 = stage2(y, k0, k1, h)
-        k3 = stage3(y, k0, k1, k2, h)
-        k4 = stage4(y, k0, k1, k2, k3, h)
-        k5 = stage5(y, k0, k1, k2, k3, k4, h)
-        ynew, k6 = stage6(y, k0, k1, k2, k3, k4, k5, h)
-        evals += 6
-        try:
-            err = error(y, ynew, k0, k1, k2, k3, k4, k5, k6, h)
-        except OverflowError:  # a scaled error component squared past the float range
-            status = STATUS_OVERFLOW
-            break
-
-        if err > 1.0:
-            fac11 = err ** 0.17
-            shrink = 0.9 / fac11
-            if shrink < 0.2:
-                shrink = 0.2
-            h *= shrink
-            last_rejected = True
-            rejected += 1
-            continue
-
-        t_new = t + h
-        if any(yn < floor for yn in ynew):
-            status, t = STATUS_NEGATIVE, t_new
-            break
-        accepted += 1
-        if h < h_min:
-            h_min = h
-        if h > h_max:
-            h_max = h
-
-        slack = 1e-13 * max(1.0, abs(t_new))
-        while next_out < m and times[next_out] <= t_new + slack:
-            theta = (times[next_out] - t) / h
-            if theta >= 1.0 - 1e-12:
-                rows.append(ynew)
-            else:
-                rows.append(dense(y, k0, k1, k2, k3, k4, k5, k6, h, theta))
-            next_out += 1
-        if err != err and next_out < m:
-            # a NaN norm passes the err > 1 test above, but it would turn the
-            # PI factor and then h into NaN, and no later step could end the
-            # run; a NaN on the step that fills the last row ends it as before
-            status, t = STATUS_NAN_ERROR, t_new
-            break
-
-        # PI controller (Hairer's DOPRI5 coefficients)
-        if err == 0.0:
-            factor = 5.0
-        else:
-            factor = 0.9 * facold ** 0.04 / err ** 0.17
-            if factor > 5.0:
-                factor = 5.0
-            elif factor < 0.2:
-                factor = 0.2
-        if last_rejected and factor > 1.0:
-            factor = 1.0
-        facold = err if err > 1e-4 else 1e-4
-        last_rejected = False
-
-        t = t_new
-        y = ynew
-        k0 = k6  # first-same-as-last
-        h *= factor
-
+    status, t, stats = loop(y, f0, h, times, rows, evals)
     rows.extend([float("nan")] * n for _ in range(m - len(rows)))
-    return status, t, np.array(rows), (accepted, rejected, evals, h_min, h_max)
+    return status, t, np.array(rows), stats

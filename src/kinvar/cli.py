@@ -23,7 +23,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -97,6 +97,14 @@ def write_trajectory_csv(path: Path, traj, names) -> None:
     write(path, traj, names)
 
 
+def _stats_json(stats) -> dict:
+    """Integrator statistics as JSON: ``min_step`` is null when no step was accepted."""
+    fields = asdict(stats)
+    if math.isinf(fields["min_step"]):
+        fields["min_step"] = None
+    return fields
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -132,11 +140,14 @@ def cmd_simulate(args) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     files = {}
+    integrator = {}
     for tag, traj in (("from_" + _safe_name(sc.experiment.a), dual.from_a),
                       ("from_" + _safe_name(sc.experiment.b), dual.from_b)):
         path = out_dir / f"{tag}.csv"
         write_trajectory_csv(path, traj, net.names)
         files[tag] = path.name
+        if engine == "nonlinear":
+            integrator[tag] = _stats_json(traj.stats)
 
     summary = {
         "engine": engine,
@@ -146,6 +157,8 @@ def cmd_simulate(args) -> int:
                  "points": int(len(times))},
         "files": files,
     }
+    if integrator:
+        summary["integrator"] = integrator
     if dual.conserved_total is not None:
         summary["conserved_total"] = dual.conserved_total
     if cycle_report is not None:

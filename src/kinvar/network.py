@@ -813,7 +813,21 @@ _REACTION_KEYS = {"reactants", "products", "k_forward", "k_backward"}
 
 
 def config_number(value, what: str, kind=float):
-    """``kind(value)`` for a number read from JSON, or a ConfigError naming ``what``."""
+    """``kind(value)`` for a number read from JSON or a flag, or a ConfigError naming ``what``.
+
+    An integer field refuses a bool, and a number or text with a fractional
+    part, where ``int`` would truncate it.
+    """
+    if kind is int:
+        if isinstance(value, bool):
+            raise ConfigError(f"{what} must be an integer, got {value!r}")
+        if isinstance(value, (float, str)):
+            try:
+                number = float(value)
+            except ValueError:
+                number = 0.0  # not a number at all: int() below says so
+            if math.isfinite(number) and not number.is_integer():
+                raise ConfigError(f"{what} must be an integer, got {number!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):

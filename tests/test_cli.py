@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import logging
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 
 from kinvar import butene_cycle, first_order_network, save_network
-from kinvar.cli import main
-from kinvar.scenario import parse_scenario
+from kinvar.cli import _stats_json, main
+from kinvar.scenario import load_scenario, parse_scenario, run_scenario
+from kinvar.trajectory import IntegratorStats
 
 
 def _scenario(**overrides) -> dict:
@@ -75,6 +77,21 @@ def test_simulate_writes_csvs_and_summary(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["engine"] == "linear"
     assert summary["conserved_total"] == 1.0
+    assert "integrator" not in summary
+
+
+def test_simulate_writes_the_integrator_statistics(tmp_path):
+    cfg = _write_scenario(tmp_path, engine="nonlinear")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    text = (tmp_path / "o" / "summary.json").read_text()
+    summary = json.loads(text)
+    _, _, _, dual = run_scenario(load_scenario(cfg))
+    assert summary["integrator"] == {
+        "from_A": dataclasses.asdict(dual.from_a.stats),
+        "from_B": dataclasses.asdict(dual.from_b.stats)}
+    assert summary["integrator"].keys() == summary["files"].keys()
+    # a run without an accepted step has no smallest step: null, never Infinity
+    assert _stats_json(IntegratorStats(0, 0, 0, math.inf, 0.0))["min_step"] is None
 
 
 def test_simulate_oracle_cross_check(tmp_path):
@@ -363,6 +380,10 @@ def test_malformed_scenario_types_exit_2(tmp_path, capsys, mutation, message_par
      "grid points must be between 2 and 100000, got 1000000000"),
     (None, "4,1000000000,linear",
      "grid points must be between 2 and 100000, got 1000000000"),
+    # an integer field is never truncated, and a bool is not a count
+    ({"t_max": 4.0, "points": 25.7}, None, "grid points must be an integer, got 25.7"),
+    ({"t_max": 4.0, "points": True}, None, "grid points must be an integer, got True"),
+    (None, "4,25.7,linear", "--grid points must be an integer, got 25.7"),
 ])
 def test_grid_out_of_range_exits_2(tmp_path, capsys, grid, flag, message):
     # checked before any time is computed: 1e9 points would ask for 7.45 GiB
@@ -755,13 +776,41 @@ def test_network_commands_never_import_numpy(tmp_path, command):
     assert "numpy" not in modules
 
 
-# one-field mutations of a 2A <=> B and of the defective first-order
-# scenario; the exit-code contract is 0 ok, 1 verdict failed, 2 bad input,
-# 3 numerical failure, and never an uncaught exception (a traceback, exit 1)
+# 2A <=> B scenarios on which the Dormand-Prince run fails
+_DP5_FAULTS = [
+    # the error norm turns NaN on a step that leaves grid rows unfilled: the
+    # step controller used to accept it and loop forever on h = NaN
+    (9.05281364985555e+194, 2.5297824747816608e+213, 3.397405482411133e-156,
+     "numerical failure: the error estimate is NaN (at t="),
+    # a finite scaled derivative squares past the float range in the
+    # starting-step heuristic, where float ** raises OverflowError
+    (1e200, 1.0, None,
+     "numerical failure: the step-size control overflows the float range (at t=0)"),
+]
+
+
+def _dp5_fault_scenario(k_forward, k_backward, a0):
+    experiment = {"a": "A", "b": "B"}
+    if a0 is not None:
+        experiment["a0"] = a0
+    return _scenario(invariants=[], experiment=experiment,
+                     network={"species": ["A", "B"],
+                              "reactions": [_rxn(["A", 2], ["B", 1], k_forward, k_backward)]},
+                     grid={"t_max": 1, "points": 50, "spacing": "geometric"})
+
+
+# one-field mutations of a 2A <=> B, of the defective first-order scenario
+# and of the two DP5 faults (with the closed-form invariant, so that
+# ``invariants`` runs the integrator too); the exit-code contract is 0 ok,
+# 1 verdict failed, 2 bad input, 3 numerical failure, and never an uncaught
+# exception (a traceback, exit 1)
+_DIMER_INVARIANTS = [{"kind": "nonlinear_2A_B", "pair": ["A", "B"]}]
 _FUZZ_BASES = [
     _scenario(network=dict(zip(("species", "reactions"), _CLOSED_FORM_SHAPES["2A<=>B"])),
-              invariants=[{"kind": "nonlinear_2A_B", "pair": ["A", "B"]}]),
+              invariants=_DIMER_INVARIANTS),
     _scenario(network=_DEFECTIVE_CHAIN),
+    *({**_dp5_fault_scenario(*fault[:3]), "invariants": _DIMER_INVARIANTS}
+      for fault in _DP5_FAULTS),
 ]
 _FUZZ_FIELDS = [
     ("network",), ("network", "species"), ("network", "reactions"),
@@ -804,8 +853,8 @@ def test_one_field_mutations_keep_the_exit_code_contract(tmp_path, capsys):
             [["simulate"], ["invariants", "--tol", "1e-3"]]):
         # the explicit integrator takes stability-limited steps, so on 2A <=> B
         # a horizon of 1e6 already runs for minutes (an implicit engine is the
-        # planned fix): horizons above 1e3 are left out of the nonlinear base
-        if (base is _FUZZ_BASES[0] and path == ("grid", "t_max")
+        # planned fix): horizons above 1e3 are left out of the nonlinear bases
+        if (base is not _FUZZ_BASES[1] and path == ("grid", "t_max")
                 and isinstance(value, float) and 1e3 < value < math.inf):
             continue
         cfg.write_text(json.dumps(_mutated(base, path, value)))
@@ -868,26 +917,11 @@ def _kinvar_process(argv, timeout):
                           text=True, timeout=timeout)
 
 
-@pytest.mark.parametrize("k_forward, k_backward, a0, message", [
-    # the error norm turns NaN on a step that leaves grid rows unfilled: the
-    # step controller used to accept it and loop forever on h = NaN
-    (9.05281364985555e+194, 2.5297824747816608e+213, 3.397405482411133e-156,
-     "numerical failure: the error estimate is NaN (at t="),
-    # a finite scaled derivative squares past the float range in the
-    # starting-step heuristic, where float ** raises OverflowError
-    (1e200, 1.0, None,
-     "numerical failure: the step-size control overflows the float range (at t=0)"),
-])
+@pytest.mark.parametrize("k_forward, k_backward, a0, message", _DP5_FAULTS)
 def test_dp5_numerical_faults_exit_3_in_one_line(tmp_path, k_forward, k_backward, a0,
                                                 message):
-    experiment = {"a": "A", "b": "B"}
-    if a0 is not None:
-        experiment["a0"] = a0
-    cfg = _write_scenario(
-        tmp_path, invariants=[], experiment=experiment,
-        network={"species": ["A", "B"],
-                 "reactions": [_rxn(["A", 2], ["B", 1], k_forward, k_backward)]},
-        grid={"t_max": 1, "points": 50, "spacing": "geometric"})
+    cfg = tmp_path / "scn.json"
+    cfg.write_text(json.dumps(_dp5_fault_scenario(k_forward, k_backward, a0)))
     proc = _kinvar_process(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")],
                            timeout=60)
     assert proc.returncode == 3

@@ -213,10 +213,10 @@ def test_integrator_stats_are_counted_and_logged(caplog):
     # two evaluations choose the first step, then six per attempted step
     assert stats.rhs_evals == 2 + 6 * (stats.accepted_steps + stats.rejected_steps)
     assert 0.0 < stats.min_step <= stats.max_step <= times[-1]
-    # the kernel's compile/reuse line, then the run's statistics
+    # the kernel's path and compile/reuse line, then the run's statistics
     kernel, run = [r.message for r in caplog.records]
-    assert kernel in ("dp54 kernel for 3 species and 4 terms: compiled",
-                      "dp54 kernel for 3 species and 4 terms: reused")
+    assert kernel in ("dp54 kernel for 3 species and 4 terms (fused loop): compiled",
+                      "dp54 kernel for 3 species and 4 terms (fused loop): reused")
     assert run == f"integrate from A: {stats}"
     field = {f.name: f for f in dataclasses.fields(Trajectory)}["stats"]
     assert field.default is None and not field.compare

@@ -2,10 +2,12 @@
 
 ``rhs_packed`` is the reference right-hand side and ``dp54_reference`` the
 list-based loop the generated code replaced; both must be matched bit for
-bit, failure statuses included. The property tests check the integrator
-itself against the dimerization closed forms.
+bit, failure statuses included, on the fused step loop and on the loop that
+calls the per-stage units. The property tests check the integrator itself
+against the dimerization closed forms.
 """
 
+import contextlib
 import io
 import logging
 import math
@@ -98,13 +100,43 @@ _CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(_CASES))
-def test_kernel_is_bit_identical_to_the_list_loop(case):
+@contextlib.contextmanager
+def _per_stage_units(on=True):
+    """Run every shape on the per-stage units (a budget of 0) when ``on``,
+    else on the loop its source length chooses; no compiled code outlives it."""
+    budget = _kernels._SOURCE_BUDGET
+    _kernels._makers.cache_clear()
+    if on:
+        _kernels._SOURCE_BUDGET = 0
+    try:
+        yield
+    finally:
+        _kernels._SOURCE_BUDGET = budget
+        _kernels._makers.cache_clear()
+
+
+def _shape(net):
+    return net.n, tuple((f, c) for _, f, c in pack_network(net))
+
+
+def _same_case(case):
     net, c0, times, rtol, atol = _CASES[case]
     status, *_ = _same_run(pack_network(net), c0, times, rtol, atol)
     expected = {"negative": _kernels.STATUS_NEGATIVE, "blow-up": _kernels.STATUS_STEP_UNDERFLOW,
                 "k_forward=1e308": _kernels.STATUS_STEP_UNDERFLOW}
     assert status == expected.get(case, _kernels.STATUS_OK)
+
+
+@pytest.mark.parametrize("case", list(_CASES))
+def test_kernel_is_bit_identical_to_the_list_loop(case):
+    # the chain runs on the per-stage units, every other shape on the fused loop
+    _same_case(case)
+
+
+@pytest.mark.parametrize("case", list(_CASES))
+def test_per_stage_units_are_bit_identical_to_the_list_loop(case):
+    with _per_stage_units():
+        _same_case(case)
 
 
 @st.composite
@@ -154,7 +186,8 @@ def test_kernel_equals_the_list_loop_on_random_networks(data):
     k_max = max(k for k, _, _ in pack_network(net))
     times = _geometric(data.draw(st.floats(0.1, 3.0)) / k_max, data.draw(st.integers(1, 30)))
     rtol, atol = data.draw(st.sampled_from([(1e-10, 1e-12), (1e-6, 1e-10), (0.1, 1e-16)]))
-    _same_run(pack_network(net), c0, times, rtol, atol)
+    with _per_stage_units(data.draw(st.booleans(), label="per-stage units")):
+        _same_run(pack_network(net), c0, times, rtol, atol)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -185,7 +218,7 @@ def test_one_compiled_kernel_serves_every_rate(caplog):
             _same_run(pack_network(_dimer(kp, km, 1)), np.array([1.0, 0.0]), times,
                       1e-10, 1e-12)
     states = [r.message.rsplit(": ", 1)[1] for r in caplog.records
-              if r.message.startswith("dp54 kernel for 2 species and 2 terms")]
+              if r.message.startswith("dp54 kernel for 2 species and 2 terms (fused loop)")]
     assert states == ["compiled", "reused", "reused"]
     assert _kernels._makers.cache_info().misses == 1
 
@@ -204,18 +237,40 @@ def test_code_cache_keeps_the_shapes_of_one_benchmark_pass():
     assert info.maxsize >= 3
 
 
+@pytest.mark.parametrize("net, path, units", [
+    (_dimer(2.0, 1.0, 1), "fused loop", 2),
+    (_dimer(2.0, 1.0, 2), "fused loop", 2),
+    (_stiff(), "fused loop", 2),
+    (_alternating_chain(), "per-stage units", 10),
+])
+def test_small_shapes_fuse_the_step_loop_within_the_budget(net, path, units):
+    # a fused loop compiles with rhs alone; past the budget, the loop calls
+    # the eight per-stage units. Either way no unit is longer than the budget
+    _kernels._makers.cache_clear()
+    chosen, sources = _kernels._sources(*_shape(net))
+    assert (chosen, len(sources)) == (path, units)
+    assert max(len(source) for source in sources.values()) <= _kernels._SOURCE_BUDGET
+    assert _kernels._makers(_shape(net))[0] == path
+    assert len(_kernels._makers(_shape(net))[1]) == units
+
+
 def test_generated_source_holds_only_indices_and_numbers():
     # names from the input never reach the source; every identifier in it is
     # one of the generator's own
     net = make_network(["import os", "__class__"],
                        [Reaction(((0, 2),), ((1, 3),), 2.0, 0.5)])
-    shape = (net.n, tuple((f, c) for _, f, c in pack_network(net)))
-    allowed = re.compile(r"(mk|rates|atol|rtol|rhs|stage[1-6]|error|dense|c|y|w|h|theta"
-                         r"|u|v|err|abs|def|return|if|else|[qyzwrb]\d+|k\d(_\d+)?)$")
+    allowed = re.compile(
+        r"(mk|rates|atol|rtol|rhs|stage[1-6]|error|dense|loop|c|y|w|h|theta|u|v|err|ynew"
+        r"|times|rows|evals|m|t|t_end|t_new|floor|accepted|rejected|h_min|h_max|next_out"
+        r"|facold|last_rejected|status|fac11|shrink|slack|factor|append|abs|max|len|any|float"
+        r"|OverflowError|def|return|if|elif|else|while|for|in|and|or|try|except|break"
+        r"|continue|True|False|[qyzwrb]\d+|k\d(_\d+)?)$")
     names = set()
-    for _, source in _kernels._sources(*shape):
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        names.update(tok.string for tok in tokens if tok.type == tokenize.NAME)
+    for units in (False, True):
+        with _per_stage_units(units):
+            for source in _kernels._sources(*_shape(net))[1].values():
+                tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+                names.update(tok.string for tok in tokens if tok.type == tokenize.NAME)
     assert {name for name in names if not allowed.match(name)} == set()
 
 
@@ -232,25 +287,24 @@ def test_overflowing_starting_step_is_a_status_of_its_own():
     assert stats == (0, 0, 1, math.inf, 0.0)
 
 
-def test_overflowing_error_norm_stops_the_run(monkeypatch):
-    # the generated error unit squares its scaled components with ** too
-    real = _kernels._kernel
-
-    def kernel(*args):
-        units = real(*args)
-
-        def error(*_):
-            raise OverflowError(34, "Numerical result out of range")
-
-        units[7] = error
-        return units
-
-    monkeypatch.setattr(_kernels, "_kernel", kernel)
-    status, t, rows, _ = _kernels.integrate_dp54(
-        pack_network(_dimer(2.0, 1.0, 1)), np.array([1.0, 0.0]), _geometric(1.0, 20),
-        1e-10, 1e-12)
-    assert (status, t) == (_kernels.STATUS_OVERFLOW, 0.0)
-    assert np.isnan(rows[1:]).all()
+def test_overflowing_error_norm_stops_the_run():
+    # found by a scan of random networks: A <=> 3B from a trace of B at an
+    # absolute tolerance of 9e-30 takes one step, and on a later attempt a
+    # scaled error component squares past the float range inside the loop
+    terms = pack_network(make_network(["A", "B"], [Reaction(
+        ((0, 1),), ((1, 3),), 261697060858.4674, 2.6070363488890056e+73)]))
+    c0 = np.array([0.0, 2.7849542001896835e-45])
+    times = _geometric(0.09787189892706201, 21)
+    args = (terms, c0, times, 4.596831946376988e-13, 9.064207816372723e-30)
+    with pytest.raises(OverflowError):
+        dp54_reference.integrate_dp54(*args)
+    for units in (False, True):
+        with _per_stage_units(units):
+            status, t, rows, (accepted, rejected, evals, _, _) = _kernels.integrate_dp54(*args)
+        assert (status, t, accepted) == (_kernels.STATUS_OVERFLOW, 1e-6, 1)
+        # the attempt that overflowed evaluated its six stages too
+        assert evals == 2 + 6 * (accepted + rejected + 1)
+        assert np.isnan(rows[1:]).all()
 
 
 def test_nan_error_norm_stops_the_run():
@@ -260,8 +314,10 @@ def test_nan_error_norm_stops_the_run():
     terms = pack_network(_dimer(9.05281364985555e+194, 2.5297824747816608e+213, 1))
     c0 = np.array([3.397405482411133e-156, 0.0])
     times = _geometric(1.0, 51)
-    status, t, rows, (accepted, _, _, _, _) = _kernels.integrate_dp54(
-        terms, c0, times, 1e-10, 1e-12)
-    assert status == _kernels.STATUS_NAN_ERROR
-    assert 0.0 < t < times[-1] and accepted >= 1
-    assert np.isnan(rows[times > t]).all()
+    for units in (False, True):
+        with _per_stage_units(units):
+            status, t, rows, (accepted, _, _, _, _) = _kernels.integrate_dp54(
+                terms, c0, times, 1e-10, 1e-12)
+        assert status == _kernels.STATUS_NAN_ERROR
+        assert 0.0 < t < times[-1] and accepted >= 1
+        assert np.isnan(rows[times > t]).all()
