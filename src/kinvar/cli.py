@@ -37,7 +37,7 @@ from .errors import (
     NetworkValidationError,
     NoReversiblePathError,
 )
-from .laplace import exact_balance, exact_view, prove_fixed_proportion
+from .laplace import exact_balance, exact_view, pair_constant, prove_fixed_proportion
 from .network import (
     ORDER_FIRST,
     ReactionNetwork,
@@ -279,7 +279,8 @@ def _prove_all_pairs(net: ReactionNetwork, subject, balanced: bool, out_dir: Pat
     ``proof.json``, ``K = h_b / h_a``; no cofactor is expanded, so a failed
     certificate proves no pair.
     """
-    certificate = exact_view(subject).certificate
+    view = exact_view(subject)
+    certificate = view.certificate
     payload = {"balanced": balanced, "certificate": certificate.failure,
                "potentials": None, "pairs": []}
     if certificate.failure is None:
@@ -287,8 +288,8 @@ def _prove_all_pairs(net: ReactionNetwork, subject, balanced: bool, out_dir: Pat
                                  zip(net.names, (Fraction(p, q) for p, q in certificate.h))}
         for a in range(net.n):
             for b in range(a + 1, net.n):
-                if certificate.root[a] == certificate.root[b]:
-                    K = certificate.constant(a, b)
+                K = pair_constant(certificate, net.n, view.rates, a, b)
+                if K is not None:
                     payload["pairs"].append({"pair": [net.names[a], net.names[b]],
                                              "K_num": K.numerator, "K_den": K.denominator})
     out_dir.mkdir(parents=True, exist_ok=True)

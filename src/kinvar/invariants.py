@@ -1,15 +1,14 @@
 """Time-invariant ratio evaluation for dual experiments.
 
-Given the two pure-priming trajectories, the cross-experiment combinations
-
-- ``linear_ratio``      b_from_a / a_from_b
-- ``nonlinear_2A_B``    b_from_a / (a_from_a * a_from_b)
-- ``nonlinear_2A_2B``   (b_from_a * b_from_b) / (a_from_a * a_from_b)
-- ``path_product``      b_from_a / a_from_b against the product of step
-  equilibrium constants along a reversible path
-
-are constant for t > 0 and equal to the corresponding equilibrium constant.
-This module turns that statement into measured deviation reports.
+Each invariant kind names a reaction ``νa A <=> νb B`` (:data:`KINDS`). Of the
+runs primed with pure A and pure B (``b_from_a`` is B in the A-primed run),
+``b_from_a * b_from_b**(νb-1) / (a_from_b * a_from_a**(νa-1))`` is constant
+for t > 0 and equals that reaction's equilibrium constant K, because both
+runs share one equilibrium. A kind with ν = (1, 1) is first order: K is the
+pair constant of the whole first-order network, the product of
+forward/backward rate ratios along a reversible path. Any other kind reads K
+from the rates of the one reversible reaction ``νa A <=> νb B``. This module
+turns that statement into measured deviation reports.
 """
 
 from __future__ import annotations
@@ -25,8 +24,9 @@ from .linear import build_rate_matrix, equilibrium_composition
 from .network import ReactionNetwork, first_order_view
 from .trajectory import DualExperiment, Trajectory
 
-KINDS = ("linear_ratio", "nonlinear_2A_B", "nonlinear_2A_2B", "path_product")
-FIRST_ORDER_KINDS = ("linear_ratio", "path_product")
+# kind -> (νa, νb) of the reaction νa A <=> νb B whose K its ratio equals
+KINDS = {"linear_ratio": (1, 1), "nonlinear_2A_B": (2, 1), "nonlinear_2A_2B": (2, 2),
+         "path_product": (1, 1)}
 PROVENANCES = ("from-rates", "from-path-product", "user-supplied")
 
 DENOM_FLOOR = 1e-12
@@ -43,8 +43,7 @@ class InvariantSpec:
     provenance: str = "user-supplied"
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown invariant kind {self.kind!r}")
+        kind_reaction(self.kind)
         if self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         if not self.expected_K > 0:
@@ -53,35 +52,37 @@ class InvariantSpec:
             raise ValueError("pair must name two distinct species")
 
 
+def kind_reaction(kind: str) -> tuple:
+    """``(νa, νb)`` of ``kind``; a ValueError naming the valid kinds for any other name."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown invariant kind {kind!r}; valid kinds: {', '.join(KINDS)}")
+    return KINDS[kind]
+
+
 def resolve_expected_K(net: ReactionNetwork, kind: str, a: int, b: int) -> InvariantSpec:
     """Build a spec with the constant the network itself implies.
 
     First-order kinds take the exact product of forward/backward ratios along
-    a shortest reversible path; the two second-order kinds take
-    k_forward/k_backward of the reversible reaction whose stoichiometry
-    matches the kind (2a -> b or 2a -> 2b, in either orientation). On
-    networks that violate detailed balance the path product is ambiguous, and
-    the shortest path's product is the one used (for a directly connected
-    pair that is just its own rate ratio).
+    a shortest reversible path; the others take k_forward/k_backward of the
+    reversible reaction ``νa a <=> νb b`` of their :data:`KINDS` entry,
+    written in either orientation. On networks that violate detailed balance
+    the path product is ambiguous, and the shortest path's product is the one
+    used (for a directly connected pair that is just its own rate ratio).
     """
-    if kind in FIRST_ORDER_KINDS:
+    nu_a, nu_b = kind_reaction(kind)
+    if (nu_a, nu_b) == (1, 1):
         try:
             K = float(path_equilibrium_constant(net, a, b))
         except OverflowError:
             raise ValueError(f"equilibrium constant of {net.names[a]!r} -> "
                              f"{net.names[b]!r} overflows a float") from None
         return InvariantSpec(kind, (a, b), K, "from-path-product")
-    product_coeff = 1 if kind == "nonlinear_2A_B" else 2
+    sides = (((a, nu_a),), ((b, nu_b),))
     for rxn in net.reactions:
-        if not rxn.reversible:
-            continue
-        if rxn.reactants == ((a, 2),) and rxn.products == ((b, product_coeff),):
-            K = rxn.k_forward / rxn.k_backward
-        elif rxn.products == ((a, 2),) and rxn.reactants == ((b, product_coeff),):
-            K = rxn.k_backward / rxn.k_forward
-        else:
-            continue
-        return InvariantSpec(kind, (a, b), K, "from-rates")
+        if rxn.reversible and (rxn.reactants, rxn.products) == sides:
+            return InvariantSpec(kind, (a, b), rxn.k_forward / rxn.k_backward, "from-rates")
+        if rxn.reversible and (rxn.products, rxn.reactants) == sides:
+            return InvariantSpec(kind, (a, b), rxn.k_backward / rxn.k_forward, "from-rates")
     raise ValueError(
         f"no reversible {kind} reaction joins species "
         f"{net.names[a]!r} and {net.names[b]!r}"
@@ -135,17 +136,10 @@ def evaluate_invariant(
     """
     a, b = spec.pair
     times = dual.times
-    a_a = dual.from_a.species(a)
-    b_a = dual.from_a.species(b)
-    a_b = dual.from_b.species(a)
-    b_b = dual.from_b.species(b)
-
-    if spec.kind in FIRST_ORDER_KINDS:
-        num, den = b_a, a_b
-    elif spec.kind == "nonlinear_2A_B":
-        num, den = b_a, a_a * a_b
-    else:  # nonlinear_2A_2B
-        num, den = b_a * b_b, a_a * a_b
+    nu_a, nu_b = KINDS[spec.kind]
+    b_a, a_b = dual.from_a.species(b), dual.from_b.species(a)
+    num = b_a * dual.from_b.species(b) if nu_b == 2 else b_a
+    den = dual.from_a.species(a) * a_b if nu_a == 2 else a_b
 
     usable = (times > 0.0) & (den >= denom_floor)
     excluded = int(np.sum(~usable))
@@ -158,12 +152,10 @@ def evaluate_invariant(
     ratios = num[usable] / den[usable]
     max_dev = float(np.max(np.abs(ratios / spec.expected_K - 1.0)))
 
-    limit = None
-    if spec.kind in FIRST_ORDER_KINDS and dual.network is not None:
-        try:
-            limit = ratio_limit_at_zero(dual, spec)
-        except (ValueError, ZeroDivisionError):
-            limit = None
+    try:  # first-order kinds on a dual that carries its network
+        limit = ratio_limit_at_zero(dual, spec)
+    except (ValueError, ZeroDivisionError):
+        limit = None
 
     return InvariantReport(
         spec=spec,
@@ -185,7 +177,7 @@ def ratio_limit_at_zero(dual: DualExperiment, spec: InvariantSpec) -> float:
     production rate of b in the a-primed run over the production rate of a in
     the b-primed run, both from the initial concentrations.
     """
-    if spec.kind not in FIRST_ORDER_KINDS:
+    if KINDS[spec.kind] != (1, 1):
         raise ValueError("the t->0 limit applies to first-order ratio kinds")
     net = dual.network
     if net is None:

@@ -17,9 +17,9 @@ rates, so it refuses a matrix whose diagonal is not exactly minus its
 column's rates. Fixed-proportion proofs try an exact detailed-balance
 certificate first and expand cofactors only when it fails; the certificate,
 like the exact entries and rates it reads, is shared by every pair of one
-rate matrix through :func:`exact_view`. Without a certificate, a pair's
-constant is one shortest-path product, on a proof's Fraction rates and on a
-network view's ``exact_rates`` alike.
+rate matrix through :func:`exact_view`. :func:`pair_constant` is the one
+routine for a pair's constant K, from the certificate or a shortest reversible
+path, on a proof's Fraction rates and a network view's ``exact_rates`` alike.
 """
 
 from __future__ import annotations
@@ -410,8 +410,14 @@ def _rate_map(entries: ExactEntries) -> dict:
     }
 
 
-def _reversible_path_constant(n: int, rates: dict, a: int, b: int) -> Optional[Fraction]:
-    """Product of rate ratios along a shortest reversible path a -> b, or None."""
+def pair_constant(certificate: BalanceCertificate, n: int, rates: dict,
+                  a: int, b: int) -> Optional[Fraction]:
+    """K of ``a <=> b`` on an exact rate map: the holding ``certificate``'s
+    ``h_b / h_a``, which every reversible path's product of forward/backward
+    rate ratios equals, else that product along a shortest reversible path;
+    None when no reversible path joins the pair."""
+    if certificate.failure is None:
+        return certificate.constant(a, b)
     path = shortest_path(n, reversible_edges(rates), a, b)
     if path is None:
         return None
@@ -580,11 +586,7 @@ def prove_fixed_proportion(M, a: int, b: int) -> ProofReport:
     if a == b:
         raise ValueError("fixed proportion needs two distinct species")
     certificate = view.certificate
-    if certificate.failure is None:
-        # every rate has its reverse, so the roots are the reversible components
-        K = certificate.constant(a, b) if certificate.root[a] == certificate.root[b] else None
-    else:
-        K = _reversible_path_constant(n, view.rates, a, b)
+    K = pair_constant(certificate, n, view.rates, a, b)
     if K is None:
         raise NoReversiblePathError(
             f"species {a} and {b} are not connected by reversible steps"
@@ -621,21 +623,16 @@ def path_equilibrium_constant(net: ReactionNetwork, a: int, b: int) -> Fraction:
     shortest path's product is the sensible reading (for a directly connected
     pair, its own merged rate ratio).
 
-    When the exact certificate of the network's
-    :func:`~kinvar.network.first_order_view` holds, K is its ``h_b / h_a``,
-    which equals every path's product exactly. Otherwise K is the proof's
-    :func:`_reversible_path_constant` on the view's ``exact_rates``, whose
-    power-of-two scale cancels: each product has one factor per step.
+    K is the proof's :func:`pair_constant` on the network's
+    :func:`~kinvar.network.first_order_view`: its certificate and its
+    ``exact_rates``, whose power-of-two scale cancels from every ratio.
     """
     if not (0 <= a < net.n and 0 <= b < net.n):
         raise IndexError("species index out of range")
     if a == b:
         return Fraction(1)
     view = first_order_view(net)
-    certificate = view.certificate
-    if certificate.failure is None and certificate.root[a] == certificate.root[b]:
-        return certificate.constant(a, b)
-    K = _reversible_path_constant(net.n, view.exact_rates, a, b)
+    K = pair_constant(view.certificate, net.n, view.exact_rates, a, b)
     if K is None:
         raise NoReversiblePathError(
             f"species {net.names[a]!r} and {net.names[b]!r} are not connected "

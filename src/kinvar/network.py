@@ -590,8 +590,10 @@ class BalanceCertificate:
     root: tuple | None
     failure: str | None
 
-    def constant(self, a: int, b: int) -> Fraction:
-        """``h_b / h_a`` of two species that share a root."""
+    def constant(self, a: int, b: int) -> Fraction | None:
+        """``h_b / h_a``, or None when ``a`` and ``b`` have different roots."""
+        if self.root[a] != self.root[b]:
+            return None
         (pa, qa), (pb, qb) = self.h[a], self.h[b]
         return Fraction(pb * qa, qb * pa)
 
@@ -816,7 +818,8 @@ def config_number(value, what: str, kind=float):
     """``kind(value)`` for a number read from JSON or a flag, or a ConfigError naming ``what``.
 
     An integer field refuses a bool, and a number or text with a fractional
-    part, where ``int`` would truncate it.
+    part, where ``int`` would truncate it; integral text that ``int`` does not
+    read, such as ``"1e3"``, counts through its float.
     """
     if kind is int:
         if isinstance(value, bool):
@@ -825,9 +828,12 @@ def config_number(value, what: str, kind=float):
             try:
                 number = float(value)
             except ValueError:
-                number = 0.0  # not a number at all: int() below says so
-            if math.isfinite(number) and not number.is_integer():
-                raise ConfigError(f"{what} must be an integer, got {number!r}")
+                number = math.nan  # not a number at all: int() below says so
+            if math.isfinite(number):
+                if not number.is_integer():
+                    raise ConfigError(f"{what} must be an integer, got {number!r}")
+                if isinstance(value, str) and not value.strip().isdecimal():
+                    value = number  # int() reads digits, not "1e3"
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):

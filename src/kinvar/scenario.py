@@ -26,7 +26,7 @@ from .closed_forms import (
 )
 from .errors import ConfigError, ConservationError
 from .integrate import dual_experiment_nonlinear, primed_amounts
-from .invariants import FIRST_ORDER_KINDS
+from .invariants import kind_reaction
 from .linear import build_rate_matrix, default_time_grid, dual_experiment
 from .network import (
     ORDER_FIRST,
@@ -171,7 +171,11 @@ def parse_scenario(data: dict, base_dir: Path = Path(".")) -> Scenario:
             raise ConfigError("each invariant must be an object")
         _require_keys(item, {"kind", "pair", "expected_K"}, "invariant")
         kind = str(item.get("kind"))
-        if kind in FIRST_ORDER_KINDS and net.order_kind != ORDER_FIRST:
+        try:
+            first_order = kind_reaction(kind) == (1, 1)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if first_order and net.order_kind != ORDER_FIRST:
             raise ConfigError(f"invariant kind {kind!r} needs an {ORDER_FIRST} "
                               f"network, not a {net.order_kind} one")
         pair = item.get("pair")

@@ -8,17 +8,24 @@ edge by edge against freshly computed potentials on every call.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional
 
 from kinvar.errors import NoReversiblePathError
 from kinvar.laplace import (
     ProofReport,
     _rate_map,
-    _reversible_path_constant,
     cofactor_numerator,
     exact_entries,
 )
-from kinvar.network import CycleCondition, cycle_products, potentials
+from kinvar.network import (
+    CycleCondition,
+    cycle_products,
+    path_products,
+    potentials,
+    reversible_edges,
+    shortest_path,
+)
 
 
 def _certificate_failure(entries, rates: dict) -> Optional[str]:
@@ -45,11 +52,12 @@ def prove_fixed_proportion(M, a: int, b: int) -> ProofReport:
     if a == b:
         raise ValueError("fixed proportion needs two distinct species")
     rates = _rate_map(entries)
-    K = _reversible_path_constant(n, rates, a, b)
-    if K is None:
+    path = shortest_path(n, reversible_edges(rates), a, b)
+    if path is None:
         raise NoReversiblePathError(
             f"species {a} and {b} are not connected by reversible steps"
         )
+    K = Fraction(*path_products(rates, path))
     why_not = _certificate_failure(entries, rates)
     if why_not is None:
         return ProofReport(pair=(a, b), K=K, verified=True, failing_coefficient=None,

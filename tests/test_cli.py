@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import balanced_integer_network
 from kinvar import butene_cycle, first_order_network, save_network
 from kinvar.cli import _stats_json, main
 from kinvar.scenario import load_scenario, parse_scenario, run_scenario
@@ -229,6 +230,34 @@ def test_prove_all_pairs_matches_each_pair(tmp_path, capsys):
     assert proofs["potentials"][names[0]] == [1, 1]
 
 
+def test_every_proofs_json_pair_has_the_pair_proofs_K(tmp_path, capsys):
+    rng = np.random.default_rng(24)
+    nets = {f"seeded-{n}": balanced_integer_network(rng, n)[0] for n in (4, 12)}
+    nets.update(butene=butene_cycle(), chain=first_order_network(
+        list("ABC"), [("A", "B", 2.0, 1.0), ("B", "C", 0.5, 0.0)]))
+    checked = 0
+    for name, net in nets.items():
+        path = tmp_path / f"{name}.json"
+        save_network(net, path)
+        for balance in ([], ["--balance"]):
+            out = tmp_path / "out"
+            main(["prove", "--config", str(path), "--all-pairs", "--out", str(out)] + balance)
+            proofs = {}
+            for p in json.loads((out / "proofs.json").read_text())["pairs"]:
+                proofs[tuple(p["pair"])] = Fraction(p["K_num"], p["K_den"])
+                proofs[tuple(p["pair"][::-1])] = 1 / proofs[tuple(p["pair"])]
+            for pair in proofs:
+                assert main(["prove", "--config", str(path), "--pair", ",".join(pair),
+                             "--out", str(out)] + balance) == 0
+                proof = json.loads((out / "proof.json").read_text())
+                assert Fraction(proof["K_num"], proof["K_den"]) == proofs[pair]
+                checked += 1
+    # every ordered pair of the seeded networks, raw and balanced, and of
+    # balanced butene; raw butene and the chain fail the certificate
+    assert checked == 2 * (4 * 3 + 12 * 11) + 3 * 2
+    capsys.readouterr()
+
+
 def test_prove_all_pairs_fails_with_the_certificate_reason(tmp_path, capsys):
     path = tmp_path / "butene.json"
     save_network(butene_cycle(), path)
@@ -357,6 +386,9 @@ def test_simulate_balance_reports_mismatch_before_and_after(tmp_path, capsys):
                       "reactions": [{"reactants": 1, "products": [["B", 1]],
                                      "k_forward": 2.0}]}},
          "reactants must be a list of [name, coefficient] pairs"),
+        ({"invariants": [{"kind": "linear_ratoi", "pair": ["A", "B"]}]},
+         "unknown invariant kind 'linear_ratoi'; valid kinds: linear_ratio, "
+         "nonlinear_2A_B, nonlinear_2A_2B, path_product"),
     ],
 )
 def test_malformed_scenario_types_exit_2(tmp_path, capsys, mutation, message_part):
@@ -397,7 +429,8 @@ def test_grid_out_of_range_exits_2(tmp_path, capsys, grid, flag, message):
 
 @pytest.mark.parametrize("flag, message", [
     ("1,abc,linear", "--grid points must be a number, got 'abc'"),
-    ("1,1e3,linear", "--grid points must be a number, got '1e3'"),
+    ("1,nan,linear", "--grid points must be a number, got 'nan'"),
+    ("1,1e400,linear", "--grid points must be a number, got '1e400'"),
     ("abc,10,linear", "--grid t_max must be a number, got 'abc'"),
 ])
 def test_malformed_grid_flag_names_the_part(tmp_path, capsys, flag, message):
@@ -406,6 +439,19 @@ def test_malformed_grid_flag_names_the_part(tmp_path, capsys, flag, message):
         assert main(argv + ["--out", str(tmp_path / "o"), "--grid", flag]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_integral_grid_flag_text_counts_through_its_float(tmp_path):
+    # "1e3" in a scenario file is the number 1000, and so it is in --grid
+    cfg = _write_scenario(tmp_path)
+    for argv in (["simulate", "--config", str(cfg)], ["invariants", "--config", str(cfg)],
+                 ["fig1"]):
+        outs = []
+        for points in ("1e3", "1000"):
+            out = tmp_path / f"{argv[0]}-{points}"
+            assert main(argv + ["--out", str(out), "--grid", f"1,{points},linear"]) == 0
+            outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("tol, code", [

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import logging
 import math
 from fractions import Fraction
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import exact_view_reference
 from conftest import (
     balanced_integer_network,
     exact_pair_constant,
@@ -35,12 +37,19 @@ from kinvar import (
 from kinvar import linear
 from kinvar.laplace import (
     _rate_map,
-    _reversible_path_constant,
     cofactor_numerator,
     _scaled_det,
     exact_entries,
 )
-from kinvar.network import CycleCondition, balance_certificate, merged_rates, potentials
+from kinvar.network import (
+    CycleCondition,
+    balance_certificate,
+    merged_rates,
+    path_products,
+    potentials,
+    reversible_edges,
+    shortest_path,
+)
 
 
 def _p(*coeffs):
@@ -438,10 +447,13 @@ def test_path_equilibrium_constant_sums_parallel_rates_exactly():
     # the parallel rates are summed exactly, as the whole network in
     # Fractions sums them, not as their float sums
     net = parallel_path_network()
+    def shortest_path_constant(rates):
+        return Fraction(*path_products(rates, shortest_path(net.n, reversible_edges(rates), 0, 2)))
+
     K = path_equilibrium_constant(net, 0, 2)
-    assert K == _reversible_path_constant(net.n, merged_rates(net, Fraction), 0, 2)
+    assert K == shortest_path_constant(merged_rates(net, Fraction))
     float_sums = {e: Fraction(k) for e, k in merged_rates(net).items()}
-    assert K != _reversible_path_constant(net.n, float_sums, 0, 2)
+    assert K != shortest_path_constant(float_sums)
 
 
 def test_float_and_exact_cycle_verdicts_agree(rng):
@@ -497,6 +509,42 @@ def test_exact_cycle_violations_are_float_cycle_conditions():
             assert float(back) == pytest.approx(float_back, rel=1e-14, abs=0)
             checked += 1
     assert checked > 12
+
+
+def _exact_k_networks(rng):
+    """Seeded balanced integer networks (n <= 12), raw and float-balanced
+    butene, a chain with an irreversible step and a balanced network of two
+    components."""
+    nets = [balanced_integer_network(rng, n, extra_edges=int(rng.integers(0, 4)))[0]
+            for n in (2, 3, 5, 8, 12)]
+    return nets + [
+        butene_cycle(), balance_network(butene_cycle()),
+        first_order_network(list("ABC"), [("A", "B", 2.0, 1.0), ("B", "C", 0.5, 0.0)]),
+        first_order_network(list("ABCD"), [("A", "B", 2.0, 1.0), ("C", "D", 3.0, 0.5)]),
+    ]
+
+
+def test_one_pair_constant_for_every_exact_caller(rng):
+    # the network view and the proof read K from one routine; the per-call
+    # proof walks a shortest path, which a holding certificate must agree with
+    for net in _exact_k_networks(rng):
+        M = build_rate_matrix(net)
+        for a in range(net.n):
+            for b in range(net.n):
+                if a == b:
+                    continue
+                try:
+                    K = path_equilibrium_constant(net, a, b)
+                except NoReversiblePathError:
+                    with pytest.raises(NoReversiblePathError):
+                        prove_fixed_proportion(M, a, b)
+                    continue
+                assert prove_fixed_proportion(M, a, b).K == K
+                assert exact_view_reference.prove_fixed_proportion(M, a, b).K == K
+    balanced = exact_balance(build_rate_matrix(butene_cycle()))
+    for a, b in itertools.permutations(range(3), 2):
+        assert prove_fixed_proportion(balanced, a, b).K == \
+            exact_view_reference.prove_fixed_proportion(balanced, a, b).K
 
 
 def test_path_equilibrium_constant_is_potential_ratio(rng):
