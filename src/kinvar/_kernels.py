@@ -9,19 +9,19 @@ times the product of ``c[i]`` over ``factors``, which lists each rate-law
 species once per unit of its power, and each ``(i, coeff)`` in ``changes``
 adds ``coeff * rate`` to ``dc/dt[i]``.
 
-:func:`integrate_dp54` chooses the starting step in plain Python and hands
-the rest of the run to ``loop``, one step controller generated from the
-*shape* of the terms, ``n`` and every term's ``(factors, changes)``: the
-step-size guard, the six stages, the error norm (with its ``OverflowError``
-stop), the negative-concentration stop, dense output onto the grid rows, PI
-step-size control and the NaN stop. For a small shape every stage and its
-right-hand side, the error norm and the quartic interpolant are written
-inline, and every species value and stage derivative is a local name, so no
-stage hands its values on through a call or a tuple. The systems here are
-small (2-40 species): indexing numpy arrays element by element would box
-every read as a numpy scalar, and list comprehensions over ``zip`` pay the
-interpreter's per-element overhead several times over on two or three
-entries.
+:func:`integrate_dp54` chooses the starting step in plain Python from two
+calls of :func:`rhs_packed`, and hands the rest of the run to ``loop``, one
+step controller generated from the *shape* of the terms, ``n`` and every
+term's ``(factors, changes)``: the step-size guard, the six stages, the
+error norm (with its ``OverflowError`` stop), the negative-concentration
+stop, dense output onto the grid rows, PI step-size control and the NaN
+stop. For a small shape every stage and its right-hand side, the error norm
+and the quartic interpolant are written inline, and every species value and
+stage derivative is a local name, so no stage hands its values on through a
+call or a tuple. The systems here are small (2-40 species): indexing numpy
+arrays element by element would box every read as a numpy scalar, and list
+comprehensions over ``zip`` pay the interpreter's per-element overhead
+several times over on two or three entries.
 
 Compile memory grows with the length of a unit, so the fused loop is used
 only when its source fits :data:`_SOURCE_BUDGET`. The fused loop of two
@@ -32,8 +32,8 @@ the same template writes calls to eight per-stage units on tuples:
 ``stage1`` to ``stage5`` (a stage input followed by the right-hand side at
 it), ``stage6`` (the new state and its right-hand side), ``error`` and
 ``dense``, each compiled on its own; the chain's largest, ``error``, is
-14.8 KB and peaks at 1.15 MB. Either path also compiles ``rhs`` for the
-starting step, and nothing it does not run.
+14.8 KB and peaks at 1.15 MB. Neither path compiles anything it does not
+run.
 
 The generated source holds only integer indices, the ``repr`` of the
 stoichiometric increments and the Dormand-Prince coefficients, never a name
@@ -354,22 +354,17 @@ def _loop_source(n, layout, units=()):
 
 
 def _sources(n, layout):
-    """``(path, {name: source})`` of the units one shape compiles.
+    """``(path, {name: source})`` of the units one shape compiles, ``loop`` last.
 
-    ``rhs`` comes first and ``loop`` last. The fused loop is used when its
-    source fits :data:`_SOURCE_BUDGET`; otherwise the loop calls the
-    per-stage units, which come between the two in the order ``loop`` takes
-    them.
+    The fused loop is used when its source fits :data:`_SOURCE_BUDGET`;
+    otherwise the loop calls the per-stage units, which come before it in the
+    order ``loop`` takes them.
     """
-    z = _names("z", n)
-    rates, sums = _rhs_lines(layout, n, z)
-    rhs = _unit("rhs", ["c"], _unpack(z, "c") + rates + [f"return {_tuple(sums)}"],
-                len(layout))
     fused = _loop_source(n, layout)
     if len(fused) <= _SOURCE_BUDGET:
-        return "fused loop", {"rhs": rhs, "loop": fused}
+        return "fused loop", {"loop": fused}
     units = _step_units(n, layout)
-    return "per-stage units", {"rhs": rhs, **units, "loop": _loop_source(n, layout, tuple(units))}
+    return "per-stage units", {**units, "loop": _loop_source(n, layout, tuple(units))}
 
 
 def _compile(name, source):
@@ -386,14 +381,14 @@ def _makers(shape):
 
 
 def _kernel(terms, n, atol, rtol):
-    """``(rhs, loop)`` for ``terms``, bound to their rates and tolerances."""
+    """``loop`` for ``terms``, bound to their rates and tolerances."""
     misses = _makers.cache_info().misses
     path, makers = _makers((n, tuple((factors, changes) for _, factors, changes in terms)))
     state = "compiled" if _makers.cache_info().misses != misses else "reused"
     log.debug("dp54 kernel for %d species and %d terms (%s): %s", n, len(terms), path, state)
     rates = tuple(k for k, _, _ in terms)
     units = [mk(rates, atol, rtol) for mk in makers[:-1]]
-    return units[0], makers[-1](rates, atol, rtol, *units[1:])
+    return makers[-1](rates, atol, rtol, *units)
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +415,9 @@ def integrate_dp54(terms, c0, times, rtol, atol):
     if m == 1:
         return STATUS_OK, 0.0, np.array(rows), (0, 0, 0, float("inf"), 0.0)
     t_end = times[m - 1]
-    rhs, loop = _kernel(terms, n, atol, rtol)
+    loop = _kernel(terms, n, atol, rtol)
 
-    f0 = rhs(y)
+    f0 = rhs_packed(y, terms, n)
     evals = 1
 
     # starting step: scaled magnitudes of y and f, refined by an Euler probe.
@@ -447,7 +442,7 @@ def integrate_dp54(terms, c0, times, rtol, atol):
             # an overflowing rate leaves no usable starting step
             status = STATUS_STEP_UNDERFLOW
         else:
-            f1 = rhs([yi + h0 * fi for yi, fi in zip(y, f0)])
+            f1 = rhs_packed([yi + h0 * fi for yi, fi in zip(y, f0)], terms, n)
             evals += 1
             d2 = 0.0
             for yi, fi, gi in zip(y, f0, f1):

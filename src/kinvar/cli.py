@@ -37,16 +37,17 @@ from .errors import (
     NetworkValidationError,
     NoReversiblePathError,
 )
-from .laplace import exact_balance, exact_view, pair_constant, prove_fixed_proportion
+from .laplace import (exact_balance, exact_generator, exact_view, pair_constant,
+                      prove_fixed_proportion)
 from .network import (
     ORDER_FIRST,
     ReactionNetwork,
     balance_network,
     butene_cycle,
     check_cycle_conditions,
-    check_rate_rows,
+    first_order_view,
     load_network,
-    rate_entries,
+    merged_rates,
     save_network,
 )
 
@@ -241,13 +242,12 @@ def cmd_prove(args) -> int:
             if name not in net.names:
                 raise ConfigError(f"species {name!r} is not in the network")
 
-    # the dense rate matrix as nested lists of floats, which the exact
-    # routines take at their binary values
-    M = [[0.0] * net.n for _ in range(net.n)]
-    for (i, j), x in rate_entries(net).items():
-        M[i][j] = x
-    check_rate_rows(M)
-    subject = exact_balance(M) if args.balance else M
+    # a summed rate that overflows a float exits 2 here as in simulate and
+    # invariants; the proof itself reads the rates summed exactly
+    first_order_view(net).entries
+    subject = exact_generator(net.n, merged_rates(net, Fraction))
+    if args.balance:
+        subject = exact_balance(subject)
     out_dir = Path(args.out)
     if args.all_pairs:
         return _prove_all_pairs(net, subject, bool(args.balance), out_dir)

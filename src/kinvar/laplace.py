@@ -641,18 +641,25 @@ def path_equilibrium_constant(net: ReactionNetwork, a: int, b: int) -> Fraction:
     return K
 
 
+def exact_generator(n: int, rates: dict) -> list:
+    """Rate matrix of an exact rate map on species ``0..n-1``, as nested lists:
+    ``M[v][u] = k(u -> v)``, and each diagonal entry is exactly minus its
+    column's rates, so every column sums to 0."""
+    M = [[_ZERO] * n for _ in range(n)]
+    for (u, v), k in rates.items():
+        M[v][u] = k
+        M[u][u] -= k
+    return M
+
+
 def exact_balance(M) -> list:
     """Exactly detailed-balanced copy of a merged rate matrix, in rationals.
 
     The rates are rebalanced by :func:`~kinvar.network.balanced_rates`, the
-    rule ``balance_network`` applies in floats, and the diagonal is rebuilt
-    from the column sums. The new rates are generally not floats.
+    rule ``balance_network`` applies in floats, and the matrix is rebuilt from
+    them by :func:`exact_generator`, so a negative off-diagonal entry, which is
+    no rate, is dropped. The new rates are generally not floats.
     """
     entries = exact_entries(M)
     n = len(entries)
-    out = [row[:] for row in entries]
-    for (u, v), k in balanced_rates(n, _rate_map(entries)).items():
-        out[v][u] = k
-    for j in range(n):
-        out[j][j] = -sum(out[i][j] for i in range(n) if i != j)
-    return out
+    return exact_generator(n, balanced_rates(n, _rate_map(entries)))

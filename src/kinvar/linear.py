@@ -17,11 +17,14 @@ from itertools import chain
 import numpy as np
 
 from .errors import MultipleEquilibriaError
-from .network import COLUMN_SUM_TOL, ReactionNetwork, first_order_view, potentials
+from .network import ReactionNetwork, first_order_view, potentials
 from .trajectory import DualExperiment, Trajectory, check_grid, geometric_grid
 
 log = logging.getLogger(__name__)
 
+# largest column sum of a rate matrix accepted as zero, relative to its
+# largest entry magnitude (or to 1 when that is smaller)
+COLUMN_SUM_TOL = 1e-9
 # eigendecomposition is rejected in favor of scaling-and-squaring when the
 # reconstruction residual exceeds this (relative to ||M||)
 _EIG_RESIDUAL_TOL = 1e-8

@@ -514,10 +514,6 @@ def balance_network(net: ReactionNetwork) -> ReactionNetwork:
 # ---------------------------------------------------------------------------
 # rate matrix
 
-# largest column sum of a rate matrix accepted as zero, relative to its
-# largest entry magnitude (or to 1 when that is smaller)
-COLUMN_SUM_TOL = 1e-9
-
 
 def rate_entries(net: ReactionNetwork) -> dict[tuple[int, int], float]:
     """Nonzero entries ``{(i, j): M[i, j]}`` of the rate matrix of a first-order network.
@@ -526,10 +522,9 @@ def rate_entries(net: ReactionNetwork) -> dict[tuple[int, int], float]:
     subtracts it from ``M[u, u]``, and a reversible one then does the same
     for ``v -> u``.  The off-diagonal entries are the :func:`merged_rates`
     and each diagonal entry sums in reaction order, so parallel reactions
-    round as they would in a dense accumulation.  ``M`` is
-    assembled here alone: :func:`~kinvar.linear.build_rate_matrix` fills an
-    array from these entries and ``kinvar prove`` nested lists, so the proof
-    needs no numpy; each checks the signs and column sums of its form of ``M``.
+    round as they would in a dense accumulation.
+    :func:`~kinvar.linear.build_rate_matrix` fills an array from these
+    entries and checks its signs and column sums.
 
     Raises :class:`NetworkValidationError` for a network that is not all
     first order, and ``ValueError``, naming the species, when an entry
@@ -552,21 +547,6 @@ def rate_entries(net: ReactionNetwork) -> dict[tuple[int, int], float]:
                 else f"the rate {names[j]!r} -> {names[i]!r}")
         raise ValueError(f"{what} is not finite ({x})")
     return entries
-
-
-def check_rate_rows(rows: list) -> None:
-    """Reject a square rate matrix, as nested lists, that is no generator.
-
-    The checks of ``linear.RateMatrix`` on an array: ``ValueError`` for a
-    negative off-diagonal entry, or a column sum beyond ``COLUMN_SUM_TOL``
-    times the largest entry magnitude (or 1, when that is smaller).
-    """
-    n = len(rows)
-    if any(rows[i][j] < 0.0 for i in range(n) for j in range(n) if i != j):
-        raise ValueError("negative off-diagonal rate")
-    scale = max(1.0, max((abs(x) for row in rows for x in row), default=0.0))
-    if any(abs(sum(row[j] for row in rows)) > COLUMN_SUM_TOL * scale for j in range(n)):
-        raise ValueError("columns of a rate matrix must sum to zero")
 
 
 # ---------------------------------------------------------------------------

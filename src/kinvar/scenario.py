@@ -170,7 +170,9 @@ def parse_scenario(data: dict, base_dir: Path = Path(".")) -> Scenario:
         if not isinstance(item, dict):
             raise ConfigError("each invariant must be an object")
         _require_keys(item, {"kind", "pair", "expected_K"}, "invariant")
-        kind = str(item.get("kind"))
+        if "kind" not in item:
+            raise ConfigError("invariant missing field 'kind'")
+        kind = str(item["kind"])
         try:
             first_order = kind_reaction(kind) == (1, 1)
         except ValueError as exc:

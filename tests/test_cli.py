@@ -389,6 +389,7 @@ def test_simulate_balance_reports_mismatch_before_and_after(tmp_path, capsys):
         ({"invariants": [{"kind": "linear_ratoi", "pair": ["A", "B"]}]},
          "unknown invariant kind 'linear_ratoi'; valid kinds: linear_ratio, "
          "nonlinear_2A_B, nonlinear_2A_2B, path_product"),
+        ({"invariants": [{"pair": ["A", "B"]}]}, "invariant missing field 'kind'"),
     ],
 )
 def test_malformed_scenario_types_exit_2(tmp_path, capsys, mutation, message_part):
@@ -952,6 +953,37 @@ def test_network_file_mutations_keep_the_exit_code_contract(tmp_path, capsys):
         if rc not in (0, 1, 2, 3):
             broken.append((*case, rc))
     capsys.readouterr()
+    assert broken == []
+
+
+# two rate fields of reactions 0 and 1 at once, each set to one of the
+# numeric fuzz values, under one command of each kind that reads them
+_RATE_FIELDS = [("network", "reactions", r, k)
+                for r in (0, 1) for k in ("k_forward", "k_backward")]
+_NUMERIC_FUZZ_VALUES = [v for v in _FUZZ_VALUES
+                        if isinstance(v, (int, float)) and not isinstance(v, bool)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_two_rate_field_mutations_keep_the_exit_code_contract(tmp_path, capsys):
+    cfg = tmp_path / "net.json"
+    broken = []
+    for base, fields, values, command in itertools.product(
+            _NETWORK_FUZZ_BASES, itertools.combinations(_RATE_FIELDS, 2),
+            itertools.product(_NUMERIC_FUZZ_VALUES, repeat=2),
+            [["prove", "--pair", "A,B"], ["prove", "--balance", "--all-pairs"], ["balance"]]):
+        scn = {"network": base}
+        for path, value in zip(fields, values):
+            scn = _mutated(scn, path, value)
+        cfg.write_text(json.dumps(scn["network"]))
+        case = (_NETWORK_FUZZ_BASES.index(base), fields, values, command[:2])
+        try:
+            rc = main(command + ["--config", str(cfg), "--out", str(tmp_path / "o")])
+        except Exception as exc:  # every escape is a finding
+            broken.append((*case, repr(exc)))
+            continue
+        if rc not in (0, 1, 2, 3) or len(capsys.readouterr().err.splitlines()) > 1:
+            broken.append((*case, rc))
     assert broken == []
 
 

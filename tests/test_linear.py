@@ -20,7 +20,6 @@ from kinvar import (
     simulate_linear,
 )
 from kinvar import linear
-from kinvar.network import check_rate_rows
 
 
 def _ab(kf=2.0, kb=1.0):
@@ -86,11 +85,8 @@ def test_rate_matrix_rejects_negative_off_diagonal():
     ([[-1.0, 2.0], [1.0, -1.0]], "sum to zero"),
 ])
 def test_nested_list_rate_matrix_gets_the_array_checks(rows, message):
-    # kinvar prove checks its nested-list matrix as RateMatrix checks an array
     with pytest.raises(ValueError, match=message):
         RateMatrix(np.array(rows))
-    with pytest.raises(ValueError, match=message):
-        check_rate_rows(rows)
 
 
 def test_simulate_matches_exponential_relaxation():
