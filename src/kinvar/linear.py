@@ -73,10 +73,15 @@ class RateMatrix:
 def build_rate_matrix(net: ReactionNetwork) -> RateMatrix:
     """``M`` of an all-first-order network, in a fresh writable array.
 
-    The entries are those of :func:`~kinvar.network.rate_entries`, read from
-    the network's :func:`~kinvar.network.first_order_view`.
+    The array copies the read-only ``rate_matrix`` of the network's
+    :func:`~kinvar.network.first_order_view`, built from
+    :func:`~kinvar.network.rate_entries`. That matrix passed every
+    :class:`RateMatrix` check when it was built, and the copy is byte-equal,
+    so the copy is not checked again.
     """
-    return dense_rate_matrix(net.n, first_order_view(net).entries)
+    M = object.__new__(RateMatrix)
+    object.__setattr__(M, "entries", first_order_view(net).rate_matrix.entries.copy())
+    return M
 
 
 def dense_rate_matrix(n: int, entries: dict) -> RateMatrix:
@@ -126,11 +131,17 @@ class _Spectrum:
     """Spectral data of one generator, each part computed on first use and read-only.
 
     ``m`` views the key's bytes, so later edits to the caller's array cannot reach it.
+    Besides ``m``, ``S`` and the ``eigh`` factors (three ``n x n`` arrays), it
+    keeps the default grid of the last ``points`` asked for and the ``eigh``
+    growth factors of the last grid, ``len(times) x n`` floats (0.64 MB at
+    n = 200 on 401 points).
     """
 
     def __init__(self, key: tuple):
         self.key = key
         self.m = np.frombuffer(key[1]).reshape(key[0])
+        self._grid = (None, None)    # ((type, points), read-only default grid)
+        self._growth = (None, None)  # (bytes of times, read-only growth factors)
 
     @cached_property
     def form(self):
@@ -149,10 +160,33 @@ class _Spectrum:
         lam, Q = np.linalg.eigh(self.form[0])
         return _read_only(lam), _read_only(Q)
 
+    def grid(self, points: int) -> np.ndarray:
+        """The read-only :func:`default_time_grid` of ``points`` points."""
+        # the type too: geomspace refuses a float count that equals an int one
+        key = (type(points), points)
+        if self._grid[0] != key:
+            mags = np.abs(self.grid_eigenvalues)
+            nonzero = mags[mags > 1e-12 * max(1.0, mags.max())]
+            if len(nonzero) == 0:
+                raise ValueError("rate matrix has no nonzero eigenvalue")
+            tau = 1.0 / nonzero.min()
+            self._grid = (key, _read_only(geometric_grid(1e-3 * tau, 10.0 * tau, points)))
+        return self._grid[1]
+
+    def eigh_growth(self, times: np.ndarray) -> np.ndarray:
+        """Read-only ``e^{lambda t}`` of the ``eigh`` eigenvalues on ``times``."""
+        key = times.tobytes()
+        if self._growth[0] != key:
+            # S is negative semidefinite; a roundoff-positive eigenvalue would
+            # grow without bound over long horizons
+            self._growth = (key, _read_only(_growth(times, np.minimum(self.eigh[0], 0.0))))
+        return self._growth[1]
+
 
 # one slot: callers run one generator at a time (the grid, then each dual
 # experiment on it), and a slot per generator seen would keep every
-# decomposition alive, about 1 MB each at n = 200
+# decomposition alive, about 1 MB each at n = 200, plus the growth factors of
+# its last grid (0.64 MB at n = 200 on 401 points)
 _last_spectrum: _Spectrum | None = None
 
 
@@ -276,8 +310,9 @@ def _propagators(M: RateMatrix, times: np.ndarray, C0: np.ndarray) -> np.ndarray
     defective spectra (e.g. equal-rate irreversible chains) and needs no
     scipy.  The path taken and the reason are logged at DEBUG level; the
     last path keeps the label ``expm``.  The ``eigh`` path reads its
-    decomposition from :func:`_spectrum` and logs whether an earlier call on
-    the same generator computed it.
+    decomposition, and its growth factors on the last grid, from
+    :func:`_spectrum` and logs whether an earlier call on the same generator
+    computed the decomposition.
     """
     m = M.entries
     spectrum = _spectrum(m)
@@ -285,12 +320,15 @@ def _propagators(M: RateMatrix, times: np.ndarray, C0: np.ndarray) -> np.ndarray
     if S is not None:
         state = "reused" if "eigh" in vars(spectrum) else "computed"
         log.debug("propagator eigh: %s; decomposition %s", why, state)
-        lam, Q = spectrum.eigh
-        # S is negative semidefinite; a roundoff-positive eigenvalue would
-        # grow without bound over long horizons
-        growth = _growth(times, np.minimum(lam, 0.0))
-        W = [Q.T @ (c / root_h) for c in C0.T]
-        return np.stack([(growth * w) @ Q.T * root_h for w in W])
+        Q = spectrum.eigh[1]
+        growth = spectrum.eigh_growth(times)
+        # each column's growth-scaled modes, then one product over the stack
+        out = np.empty((C0.shape[1],) + growth.shape)
+        for k, c in enumerate(C0.T):
+            np.multiply(growth, Q.T @ (c / root_h), out=out[k])
+        out = np.matmul(out, Q.T)
+        out *= root_h
+        return out
     out, why_not = _eig_propagators(m, times, C0)
     if out is not None:
         log.debug("propagator eig: %s", why)
@@ -367,11 +405,7 @@ def default_time_grid(M: RateMatrix, points: int = 400) -> np.ndarray:
     span resolves the fast transient and the approach to equilibrium. A
     scenario's geometric grid (``scenario.GridSpec``) runs from ``1e-3 t_max`` to
     the ``t_max`` it names instead; both start three decades below their
-    scale.
+    scale. The grid is kept with the generator's spectral data, and each call
+    returns a fresh writable copy of it.
     """
-    mags = np.abs(_spectrum(M.entries).grid_eigenvalues)
-    nonzero = mags[mags > 1e-12 * max(1.0, mags.max())]
-    if len(nonzero) == 0:
-        raise ValueError("rate matrix has no nonzero eigenvalue")
-    tau = 1.0 / nonzero.min()
-    return geometric_grid(1e-3 * tau, 10.0 * tau, points)
+    return _spectrum(M.entries).grid(points).copy()

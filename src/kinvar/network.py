@@ -520,25 +520,30 @@ def rate_entries(net: ReactionNetwork) -> dict[tuple[int, int], float]:
 
     ``dC/dt = M C``: a reaction ``u -> v`` adds its rate to ``M[v, u]`` and
     subtracts it from ``M[u, u]``, and a reversible one then does the same
-    for ``v -> u``.  The off-diagonal entries are the :func:`merged_rates`
-    and each diagonal entry sums in reaction order, so parallel reactions
-    round as they would in a dense accumulation.
-    :func:`~kinvar.linear.build_rate_matrix` fills an array from these
-    entries and checks its signs and column sums.
+    for ``v -> u``.  One pass over the reactions sums the off-diagonal
+    entries, the :func:`merged_rates` in their key order, and each diagonal
+    entry in reaction order, so parallel reactions round as they would in a
+    dense accumulation.  :attr:`FirstOrderView.rate_matrix` fills an array
+    from these entries and checks its signs and column sums.
 
     Raises :class:`NetworkValidationError` for a network that is not all
     first order, and ``ValueError``, naming the species, when an entry
     overflows the float range.
     """
     _require_first_order(net, "a rate matrix")
-    # the off-diagonal entries first
-    entries = {(v, u): k for (u, v), k in merged_rates(net).items()}
+    # the off-diagonal entries first, keyed in merged_rates order
+    entries: dict[tuple[int, int], float] = {}
+    get = entries.get
     diag = [0.0] * net.n
     for rxn in net.reactions:
         u, v = _edge_endpoints(rxn)
-        diag[u] -= rxn.k_forward
-        if rxn.reversible:
-            diag[v] -= rxn.k_backward
+        k = float(rxn.k_forward)
+        entries[(v, u)] = get((v, u), 0.0) + k
+        diag[u] -= k
+        k = float(rxn.k_backward)
+        if k > 0.0:  # reversible
+            entries[(u, v)] = get((u, v), 0.0) + k
+            diag[v] -= k
     entries.update(((i, i), x) for i, x in enumerate(diag) if x)
     if not all(map(math.isfinite, entries.values())):
         (i, j), x = next(item for item in entries.items() if not math.isfinite(item[1]))

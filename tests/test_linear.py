@@ -202,10 +202,12 @@ def test_growth_floor_leaves_propagators_bit_identical(net):
     # join, so flooring them changes no bit of the result
     M = build_rate_matrix(net)
     times = default_time_grid(M)
-    C0 = np.eye(net.n)[:, [0, net.n - 1]]
-    lam, reference = _unfloored_propagators(M, times, C0)
-    assert np.outer(times, lam).real.min() < linear._GROWTH_FLOOR_EXPONENT
-    assert np.array_equal(linear._propagators(M, times, C0), reference)
+    # one, two and three primed columns: the batched product keeps each bit
+    for columns in ([0], [0, net.n - 1], [net.n - 1, 0, net.n // 2]):
+        C0 = np.eye(net.n)[:, columns]
+        lam, reference = _unfloored_propagators(M, times, C0)
+        assert np.outer(times, lam).real.min() < linear._GROWTH_FLOOR_EXPONENT
+        assert np.array_equal(linear._propagators(M, times, C0), reference)
 
 
 @pytest.mark.parametrize("net", _BALANCED, ids=["n10", "n50", "n200"])
@@ -343,19 +345,63 @@ def test_propagator_log_says_whether_the_decomposition_was_reused(caplog, monkey
                                                        "decomposition reused"]
 
 
-def test_grid_and_dual_experiments_share_one_decomposition(monkeypatch):
-    calls = Counter()
-    for name in ("eigh", "eigvalsh"):
-        def counted(*args, _name=name, _real=getattr(np.linalg, name)):
+def _count_calls(monkeypatch, calls, module, *names):
+    """Count in ``calls`` the calls of each named function of ``module``."""
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(module, name)):
             calls[_name] += 1
             return _real(*args)
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(module, name, counted)
+
+
+def test_grid_and_dual_experiments_share_one_decomposition(monkeypatch):
+    calls = Counter()
+    _count_calls(monkeypatch, calls, np.linalg, "eigh", "eigvalsh")
+    _count_calls(monkeypatch, calls, linear, "_growth")
     _forget_spectrum(monkeypatch)
     net = _BALANCED[1]
     times = default_time_grid(build_rate_matrix(net))
     for a, b in ((0, 1), (2, 3), (0, net.n - 1)):
         dual_experiment(net, a, b, times)
-    assert calls == {"eigh": 1, "eigvalsh": 1}
+    assert calls == {"eigh": 1, "eigvalsh": 1, "_growth": 1}
+
+
+def test_new_points_or_an_edited_grid_recompute_grid_and_growth(monkeypatch):
+    net = _BALANCED[0]
+    _forget_spectrum(monkeypatch)
+    cold = {points: default_time_grid(build_rate_matrix(net), points) for points in (400, 60)}
+    _forget_spectrum(monkeypatch)
+    calls = Counter()
+    _count_calls(monkeypatch, calls, linear, "_growth", "geometric_grid")
+    M = build_rate_matrix(net)
+    times = default_time_grid(M)
+    assert np.array_equal(default_time_grid(M), cold[400])
+    assert np.array_equal(default_time_grid(M, 60), cold[60])
+    assert calls == {"geometric_grid": 2}
+    assert np.array_equal(default_time_grid(M), cold[400])
+    assert calls == {"geometric_grid": 3}  # the memo holds the last points only
+    runs = [(times, dual_experiment(net, 0, 1, times)),
+            (times, dual_experiment(net, 0, 1, times))]
+    assert calls["_growth"] == 1
+    short = default_time_grid(M, 60)
+    runs.append((short.copy(), dual_experiment(net, 0, 1, short)))
+    short[-1] *= 2.0  # a grid edited in place is another grid
+    runs.append((short, dual_experiment(net, 0, 1, short)))
+    assert calls["_growth"] == 3
+    for grid, run in runs:
+        _forget_spectrum(monkeypatch)
+        fresh = dual_experiment(net, 0, 1, grid)
+        assert np.array_equal(run.from_a.concentrations, fresh.from_a.concentrations)
+        assert np.array_equal(run.from_b.concentrations, fresh.from_b.concentrations)
+
+
+def test_edits_to_a_default_grid_do_not_reach_the_next_one():
+    M = build_rate_matrix(_BALANCED[0])
+    times = default_time_grid(M)
+    assert times.flags.writeable
+    want = times.copy()
+    times[1:] *= 3.0
+    assert np.array_equal(default_time_grid(M), want)
 
 
 def _outputs(net, M):
@@ -401,7 +447,9 @@ def test_spectral_memo_gives_the_cold_arrays(monkeypatch, name):
 def test_cached_spectral_arrays_refuse_writes():
     spectrum = linear._spectrum(build_rate_matrix(_BALANCED[0]).entries)
     S, root_h, _ = spectrum.form
-    for cached in (spectrum.m, S, root_h, spectrum.grid_eigenvalues, *spectrum.eigh):
+    times = spectrum.grid(400)
+    for cached in (spectrum.m, S, root_h, spectrum.grid_eigenvalues, *spectrum.eigh,
+                   times, spectrum.eigh_growth(times)):
         with pytest.raises(ValueError, match="read-only"):
             cached[0] = 1.0
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import balanced_integer_network, perturbed_network
+from conftest import balanced_integer_network, parallel_path_network, perturbed_network
 
 from kinvar import (
     ConfigError,
@@ -34,6 +34,7 @@ from kinvar.network import (
     network_from_dict,
     pack_network,
     potentials,
+    rate_entries,
 )
 
 
@@ -250,6 +251,54 @@ def test_parallel_reactions_judged_by_merged_rates():
     proof = prove_fixed_proportion(build_rate_matrix(net), 0, 1)
     assert proof.verified
     assert proof.K == 0.75
+
+
+def _merged_rate_entries(net):
+    """The two-pass ``rate_entries``: the merged rates with swapped keys, then the diagonal."""
+    entries = {(v, u): k for (u, v), k in merged_rates(net).items()}
+    diag = [0.0] * net.n
+    for rxn in net.reactions:
+        u, v = rxn.reactants[0][0], rxn.products[0][0]
+        diag[u] -= rxn.k_forward
+        if rxn.reversible:
+            diag[v] -= rxn.k_backward
+    entries.update(((i, i), x) for i, x in enumerate(diag) if x)
+    return entries
+
+
+_RATE_ENTRY_RNG = np.random.default_rng(515)
+_BALANCED_200 = balanced_integer_network(_RATE_ENTRY_RNG, 200, extra_edges=40)[0]
+
+
+@pytest.mark.parametrize("net", [
+    parallel_path_network(),
+    butene_cycle(),
+    _BALANCED_200,
+    perturbed_network(_RATE_ENTRY_RNG, _BALANCED_200),
+    # integer and numpy rate constants on parallel and irreversible steps
+    first_order_network(list("ABC"), [("A", "B", 2, 1), ("A", "B", np.float64(1.5), 3),
+                                      ("B", "C", 5, 0), ("C", "A", 1, 0),
+                                      ("C", "A", np.float64(7.0), np.float64(2.0))]),
+], ids=["parallel-paths", "butene", "balanced-200", "perturbed-200", "int-and-numpy-rates"])
+def test_rate_entries_match_the_merged_rates(net):
+    # same keys in the same order, and every value the same float bit for bit
+    want = [(key, float(x).hex()) for key, x in _merged_rate_entries(net).items()]
+    got = rate_entries(net)
+    assert [(key, x.hex()) for key, x in got.items()] == want
+    assert all(type(x) is float for x in got.values())
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([("A", "B", 1e308, 1.0), ("A", "C", 1e308, 1.0)],
+     "the total rate out of 'A' is not finite (-inf)"),
+    ([("A", "B", 1e308, 1.0), ("A", "B", 1e308, 1.0)],
+     "the rate 'A' -> 'B' is not finite (inf)"),
+], ids=["diagonal", "parallel"])
+def test_rate_entries_name_the_species_of_an_overflowing_entry(edges, message):
+    net = first_order_network(list("ABC"), edges)
+    with pytest.raises(ValueError) as err:
+        rate_entries(net)
+    assert str(err.value) == message
 
 
 def test_balance_network_rejects_irreversible_step_on_cycle():

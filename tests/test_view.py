@@ -19,6 +19,7 @@ from conftest import (
 )
 from kinvar import (
     NoReversiblePathError,
+    RateMatrix,
     Reaction,
     balance_network,
     build_rate_matrix,
@@ -283,6 +284,7 @@ def test_t0_limit_is_bit_identical_on_every_pair():
 def test_build_rate_matrix_returns_a_fresh_writable_array(rng):
     net, _ = balanced_integer_network(rng, 6)
     M1, M2 = build_rate_matrix(net), build_rate_matrix(net)
+    assert type(M1) is RateMatrix and M1.n == net.n
     assert M1.entries is not M2.entries
     assert M1.entries.flags.writeable
     shared = first_order_view(net).rate_matrix
