@@ -1,6 +1,6 @@
 """Hot numerical kernels: packed mass-action right-hand side and an embedded
-Dormand-Prince 5(4) step loop with PI step-size control and quartic dense
-output.
+Dormand-Prince 5(4) step loop with PI step-size control, and the quartic
+dense output of its steps onto a grid.
 
 The kernels never touch network objects. :func:`kinvar.network.pack_network`
 flattens a network into a tuple of terms ``(k, factors, changes)``, one per
@@ -14,26 +14,32 @@ calls of :func:`rhs_packed`, and hands the rest of the run to ``loop``, one
 step controller generated from the *shape* of the terms, ``n`` and every
 term's ``(factors, changes)``: the step-size guard, the six stages, the
 error norm (with its ``OverflowError`` stop), the negative-concentration
-stop, dense output onto the grid rows, PI step-size control and the NaN
-stop. For a small shape every stage and its right-hand side, the error norm
-and the quartic interpolant are written inline, and every species value and
-stage derivative is a local name, so no stage hands its values on through a
-call or a tuple. The systems here are small (2-40 species): indexing numpy
-arrays element by element would box every read as a numpy scalar, and list
-comprehensions over ``zip`` pay the interpreter's per-element overhead
-several times over on two or three entries.
+stop, PI step-size control and the NaN stop. For a small shape every stage
+and its right-hand side and the error norm are written inline, and every
+species value and stage derivative is a local name, so no stage hands its
+values on through a call or a tuple. The systems here are small (2-40
+species): indexing numpy arrays element by element would box every read as
+a numpy scalar, and list comprehensions over ``zip`` pay the interpreter's
+per-element overhead several times over on two or three entries.
+
+Grid rows are not interpolated inside the loop. An accepted step that
+reaches one or more grid times appends its record ``t, h, y, w, k0 ... k6``
+to a flat list and moves past those times with comparisons only; after the
+loop, :func:`_place_rows` evaluates the quartic continuous extension
+(Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.6) for every row in one
+numpy pass, each grid time on the first recorded step whose reach covers it.
 
 Compile memory grows with the length of a unit, so the fused loop is used
 only when its source fits :data:`_SOURCE_BUDGET`. The fused loop of two
-species is 6.4 KB long and peaks at 0.49 MB of compile memory
-(``tracemalloc``), that of the stiff three-species network 8.2 KB and
-0.59 MB; the 40-species chain's would be 79 KB and 6.1 MB. Past the budget,
-the same template writes calls to eight per-stage units on tuples:
+species is 5.7 KB long and peaks at 0.44 MB of compile memory
+(``tracemalloc``), that of the stiff three-species network 7.5 KB and
+0.53 MB; the 40-species chain's would be 77 KB and 6.0 MB, and is not even
+written, since :func:`_fused_floor` bounds it past the budget. Past the
+budget, the same template writes calls to seven per-stage units on tuples:
 ``stage1`` to ``stage5`` (a stage input followed by the right-hand side at
-it), ``stage6`` (the new state and its right-hand side), ``error`` and
-``dense``, each compiled on its own; the chain's largest, ``error``, is
-14.8 KB and peaks at 1.15 MB. Neither path compiles anything it does not
-run.
+it), ``stage6`` (the new state and its right-hand side) and ``error``, each
+compiled on its own; the chain's largest, ``error``, is 14.8 KB and peaks
+at 1.15 MB. Neither path compiles anything it does not run.
 
 The generated source holds only integer indices, the ``repr`` of the
 stoichiometric increments and the Dormand-Prince coefficients, never a name
@@ -46,19 +52,21 @@ nothing a run computes, so every run does all its arithmetic and its result
 does not depend on what ran before. It has more than one slot because a
 caller that alternates a few shapes (the chain and the two dimerization
 shapes of one benchmark pass) would otherwise recompile on every switch:
-about 27 ms at 40 species, 2-3 ms for two or three.
+about 10 ms at 40 species, under 1 ms for two (``timeit``, best of 5, on a
+2-core host).
 
-Python floats are IEEE doubles like float64. Every generated sum and product
-keeps the operand order of :func:`rhs_packed` and of the list-based loop the
-generated code replaced (kept in the tests as the reference), so every
-trajectory, step count and failure time is bit-identical to it, on either
-path.
+Python floats are IEEE doubles like float64. Every generated sum and
+product, and every elementwise numpy operation of the row pass, keeps the
+operand order of :func:`rhs_packed` and of the list-based loop the generated
+code replaced (kept in the tests as the reference), so every trajectory,
+step count and failure time is bit-identical to it, on either path.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
+import struct
 
 import numpy as np
 
@@ -99,6 +107,8 @@ _P = (
      -1453857185 / 822651844),
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
+# the coefficients of theta^1 ... theta^4 in the seven weights, as arrays
+_P_COLUMNS = tuple(np.array(column)[:, None] for column in zip(*_P))
 
 STATUS_OK = 0
 STATUS_STEP_UNDERFLOW = 1
@@ -190,15 +200,6 @@ def _error_lines(n):
     return lines, f"(err / {n}) ** 0.5"
 
 
-def _dense_lines(n):
-    """Lines setting the interpolant weights at ``theta``, and the row they give."""
-    lines = [f"b{s} = theta * ({p0!r} + theta * ({p1!r} + theta * ({p2!r} + theta * {p3!r})))"
-             for s, (p0, p1, p2, p3) in enumerate(_P)]
-    row = [f"y{i} + h * ({' + '.join(['0.0'] + [f'b{s} * k{s}_{i}' for s in range(7)])})"
-           for i in range(n)]
-    return lines, _tuple(row)
-
-
 def _unit(name, params, body, n_terms, units=()):
     """Source of ``mk(rates, atol, rtol, *units)``, which returns ``name`` as a closure."""
     head = [f"def mk({', '.join(['rates', 'atol', 'rtol', *units])}):"]
@@ -224,9 +225,6 @@ def _step_units(n, layout):
     lines, norm = _error_lines(n)
     body = _unpack(y, "y") + _unpack(w, "w") + unpack_k(7) + lines + [f"return {norm}"]
     units["error"] = _unit("error", ["y", "w", *_K_ALL, "h"], body, len(layout))
-    weights, row = _dense_lines(n)
-    body = weights + _unpack(y, "y") + unpack_k(7) + [f"return {row}"]
-    units["dense"] = _unit("dense", ["y", *_K_ALL, "h", "theta"], body, len(layout))
     return units
 
 
@@ -247,7 +245,7 @@ status = {ok}
 while next_out < m:
     if t + h > t_end:
         h = t_end - t
-    if h < {tiny!r} * max(abs(t), 1e-8) or h <= 0.0:
+    if h < {tiny!r} * (1e-8 if t < 1e-8 else t) or h <= 0.0:
         status = {underflow}
         break
     {step}
@@ -276,14 +274,12 @@ while next_out < m:
         h_min = h
     if h > h_max:
         h_max = h
-    slack = 1e-13 * max(1.0, abs(t_new))
-    while next_out < m and times[next_out] <= t_new + slack:
-        theta = (times[next_out] - t) / h
-        if theta >= 1.0 - 1e-12:
-            rows.append({new_row})
-        else:
-            {dense}
+    reach = t_new + 1e-13 * (t_new if t_new > 1.0 else 1.0)
+    if times[next_out] <= reach:
+        {record}
         next_out += 1
+        while next_out < m and times[next_out] <= reach:
+            next_out += 1
     # a NaN norm passes the err > 1 test above, but it would turn the PI
     # factor and then h into NaN, and no later step could end the run; a NaN
     # on the step that fills the last row ends it as before
@@ -307,18 +303,21 @@ while next_out < m:
     t = t_new
     {advance}
     h *= factor
-return status, t, (accepted, rejected, evals, h_min, h_max)"""
+return status, t, (accepted, rejected, evals, h_min, h_max), next_out"""
 
 
 def _loop_source(n, layout, units=()):
     """Source of the maker of ``loop``, the whole step loop of one shape.
 
-    ``loop(y, k0, h, times, rows, evals)`` takes the state at t = 0, its
-    derivative and the first step, appends a row to ``rows`` for every grid
-    time the steps pass, and returns ``(status, t, stats)``. With no
-    ``units`` every stage, the error norm and dense output are written
-    inline over one local name per species; with the names of the per-stage
-    units, it calls them on tuples instead.
+    ``loop(y, k0, h, times, rec, evals)`` takes the state at t = 0, its
+    derivative and the first step. On every accepted step that reaches one
+    or more grid times it appends the step's record ``t, h, y, w, k0 ... k6``
+    (``w`` the new state), ``2 + 9 n`` doubles packed by the maker's last
+    argument ``pack``, to the bytearray ``rec``, and it returns ``(status,
+    t, stats, filled)``, ``filled`` the number of grid rows the steps
+    reached. With no ``units`` every stage and the error norm are
+    written inline over one local name per species; with the names of the
+    per-stage units, it calls them on tuples instead.
     """
     if units:
         head = []
@@ -326,8 +325,7 @@ def _loop_source(n, layout, units=()):
         step += [f"ynew, k6 = stage6(y, {', '.join(_K_ALL[:6])}, h)"]
         error = [f"err = error(y, ynew, {', '.join(_K_ALL)}, h)"]
         negative = "any(v < floor for v in ynew)"
-        new_row = "ynew"
-        dense = [f"rows.append(dense(y, {', '.join(_K_ALL)}, h, theta))"]
+        record = [f"rec += pack(t, h, {', '.join(f'*{v}' for v in ('y', 'ynew', *_K_ALL))})"]
         advance = ["y = ynew", "k0 = k6"]
     else:
         y, w, k0, k6 = (_names(p, n) for p in ("y", "w", "k0_", "k6_"))
@@ -340,17 +338,30 @@ def _loop_source(n, layout, units=()):
         lines, norm = _error_lines(n)
         error = lines + [f"err = {norm}"]
         negative = " or ".join(f"{v} < floor" for v in w)
-        new_row = _tuple(w)
-        weights, row = _dense_lines(n)
-        dense = weights + [f"rows.append({row})"]
+        stages = [f"k{s}_{i}" for s in range(7) for i in range(n)]
+        record = [f"rec += pack({', '.join(['t', 'h', *y, *w, *stages])})"]
         advance = [f"{a} = {b}" for a, b in zip(y + k0, w + k6)]
     body = _LOOP.format(
         head="\n".join(head), step="\n    ".join(step), error="\n        ".join(error),
-        dense="\n            ".join(dense), advance="\n    ".join(advance),
-        negative=negative, new_row=new_row, tiny=16.0 * _EPS, ok=STATUS_OK,
+        record="\n        ".join(record), advance="\n    ".join(advance),
+        negative=negative, tiny=16.0 * _EPS, ok=STATUS_OK,
         underflow=STATUS_STEP_UNDERFLOW, overflow=STATUS_OVERFLOW,
         negative_status=STATUS_NEGATIVE, nan=STATUS_NAN_ERROR)
-    return _unit("loop", ["y", "k0", "h", "times", "rows", "evals"], body.splitlines(), 0, units)
+    return _unit("loop", ["y", "k0", "h", "times", "rec", "evals"], body.splitlines(), 0,
+                 (*units, "pack"))
+
+
+def _fused_floor(n):
+    """A lower bound on the length of the fused loop of ``n`` species.
+
+    Every species writes its six stage inputs and its three error-norm lines
+    into the loop, and each of them is species 0's line with a longer or
+    equal index; ``n`` times species 0's lines, with their indentation (12
+    and 16 spaces) and line breaks, leaves out every other line.
+    """
+    stages = [line for s in range(1, 7) for line in _stage_lines(s, 1, ["z0"])]
+    error = _error_lines(1)[0][1:]
+    return n * (sum(len(line) + 13 for line in stages) + sum(len(line) + 17 for line in error))
 
 
 def _sources(n, layout):
@@ -358,11 +369,13 @@ def _sources(n, layout):
 
     The fused loop is used when its source fits :data:`_SOURCE_BUDGET`;
     otherwise the loop calls the per-stage units, which come before it in the
-    order ``loop`` takes them.
+    order ``loop`` takes them. A shape whose :func:`_fused_floor` is past the
+    budget skips writing the fused loop.
     """
-    fused = _loop_source(n, layout)
-    if len(fused) <= _SOURCE_BUDGET:
-        return "fused loop", {"loop": fused}
+    if _fused_floor(n) <= _SOURCE_BUDGET:
+        fused = _loop_source(n, layout)
+        if len(fused) <= _SOURCE_BUDGET:
+            return "fused loop", {"loop": fused}
     units = _step_units(n, layout)
     return "per-stage units", {**units, "loop": _loop_source(n, layout, tuple(units))}
 
@@ -388,11 +401,46 @@ def _kernel(terms, n, atol, rtol):
     log.debug("dp54 kernel for %d species and %d terms (%s): %s", n, len(terms), path, state)
     rates = tuple(k for k, _, _ in terms)
     units = [mk(rates, atol, rtol) for mk in makers[:-1]]
-    return makers[-1](rates, atol, rtol, *units)
+    return makers[-1](rates, atol, rtol, *units, struct.Struct(f"{2 + 9 * n}d").pack)
 
 
 # ---------------------------------------------------------------------------
 # integration
+
+
+def _place_rows(out, grid, filled, rec, n):
+    """Fill rows 1 to ``filled - 1`` of ``out`` from the step records ``rec``.
+
+    Each grid time takes the first recorded step whose reach ``t_new + 1e-13
+    max(1, t_new)`` covers it, found by ``searchsorted`` since the reach
+    never decreases, and is the quartic interpolant at ``theta = (time - t)
+    / h``, or the step's end state ``w`` when ``theta >= 1 - 1e-12``. Every
+    operation is the loop's own, element by element and with each sum taken
+    from 0.0 in stage order, so the rows are bit-identical to rows
+    interpolated inside the loop.
+    """
+    steps = np.frombuffer(rec).reshape(-1, 2 + 9 * n).T
+    times = grid[1:filled]
+    # as in the loop's float arithmetic, overflow and NaN pass without a warning
+    with np.errstate(all="ignore"):
+        t_new = steps[0] + steps[1]
+        reach = t_new + 1e-13 * np.where(t_new > 1.0, t_new, 1.0)
+        # the record of each row's step as a column: t, h, y, w, k0 ... k6
+        cols = np.take(steps, np.searchsorted(reach, times), axis=1)
+        h = cols[1]
+        theta = (times - cols[0]) / h
+        p0, p1, p2, p3 = _P_COLUMNS
+        b = theta * (p0 + theta * (p1 + theta * (p2 + theta * p3)))
+        states = cols[2:].reshape(9, n, len(times))
+        # the products b_s k_s overwrite the rows' copy of k_s
+        products = np.multiply(b[:, None, :], states[2:], out=states[2:])
+        acc = 0.0 + products[0]
+        for s in range(1, 7):
+            acc += products[s]
+        acc *= h
+        rows = np.add(states[0], acc, out=acc)
+    np.copyto(rows, states[1], where=theta >= 1.0 - 1e-12)
+    out[1:filled] = rows.T
 
 
 def integrate_dp54(terms, c0, times, rtol, atol):
@@ -407,13 +455,15 @@ def integrate_dp54(terms, c0, times, rtol, atol):
     the steps taken, with ``h_min = inf`` and ``h_max = 0`` when none was
     accepted.
     """
+    grid = times
     times = times.tolist()
     y = c0.tolist()
     n = len(y)
     m = len(times)
-    rows = [y]
+    out = np.full((m, n), np.nan)
+    out[0] = y
     if m == 1:
-        return STATUS_OK, 0.0, np.array(rows), (0, 0, 0, float("inf"), 0.0)
+        return STATUS_OK, 0.0, out, (0, 0, 0, float("inf"), 0.0)
     t_end = times[m - 1]
     loop = _kernel(terms, n, atol, rtol)
 
@@ -452,8 +502,7 @@ def integrate_dp54(terms, c0, times, rtol, atol):
     except OverflowError:
         status = STATUS_OVERFLOW
     if status != STATUS_OK:
-        rows.extend([float("nan")] * n for _ in range(m - 1))
-        return status, 0.0, np.array(rows), (0, 0, evals, float("inf"), 0.0)
+        return status, 0.0, out, (0, 0, evals, float("inf"), 0.0)
     d2 = (d2 / n) ** 0.5 / h0
     dm = d1 if d1 > d2 else d2
     if dm <= 1e-15:
@@ -464,6 +513,8 @@ def integrate_dp54(terms, c0, times, rtol, atol):
     if h > t_end:
         h = t_end
 
-    status, t, stats = loop(y, f0, h, times, rows, evals)
-    rows.extend([float("nan")] * n for _ in range(m - len(rows)))
-    return status, t, np.array(rows), stats
+    rec = bytearray()
+    status, t, stats, filled = loop(y, f0, h, times, rec, evals)
+    if filled > 1:
+        _place_rows(out, grid, filled, rec, n)
+    return status, t, out, stats

@@ -15,7 +15,7 @@ import numpy as np
 from . import _kernels
 from .errors import ConservationError, IntegrationError
 from .network import ReactionNetwork, conservation_vector, pack_network, validate_network
-from .trajectory import DualExperiment, IntegratorStats, Trajectory, check_grid
+from .trajectory import DualExperiment, IntegratorStats, Trajectory, check_grid, frozen_grid
 
 log = logging.getLogger(__name__)
 
@@ -129,6 +129,7 @@ def dual_experiment_nonlinear(
     if times is None:
         raise ValueError("a time grid is required")
     a0, b0, total = primed_amounts(net, conservation_vector(net), a, b, a0, b0)
+    times = frozen_grid(times)  # one copy, kept by both runs
     c0a = np.zeros(net.n)
     c0a[a] = a0
     c0b = np.zeros(net.n)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import MultipleEquilibriaError
 from .network import ReactionNetwork, first_order_view, potentials
-from .trajectory import DualExperiment, Trajectory, check_grid, geometric_grid
+from .trajectory import DualExperiment, Trajectory, check_grid, frozen_grid, geometric_grid
 
 log = logging.getLogger(__name__)
 
@@ -367,7 +367,7 @@ def dual_experiment(
     """
     if a == b:
         raise ValueError("dual experiment needs two distinct species")
-    times = np.asarray(times, dtype=float)
+    times = frozen_grid(times)  # one copy, kept by both runs
     check_grid(times)
     M = first_order_view(net).rate_matrix
     C0 = np.zeros((net.n, 2))

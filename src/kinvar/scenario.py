@@ -38,7 +38,7 @@ from .network import (
     network_from_dict,
     network_to_dict,
 )
-from .trajectory import DualExperiment, Trajectory, geometric_grid
+from .trajectory import DualExperiment, Trajectory, frozen_grid, geometric_grid
 
 # largest grid a scenario or --grid may ask for; 250 times the default 400
 # points, and a 200-species trajectory on it already takes 160 MB
@@ -264,9 +264,11 @@ def _default_times(net: ReactionNetwork, points: int = 400) -> np.ndarray:
     return GridSpec(10.0 / min(rates), points, "geometric").times()
 
 
-# closed form of a lone reaction u (cu) <=> v (cv) on two species, by (cu, cv)
-_TWO_SPECIES_FORMS = {(1, 1): single_reversible, (2, 1): nonlinear_2A_B,
-                      (2, 2): nonlinear_2A_2B}
+# closed form of a lone reaction u (cu) <=> v (cv) on two species, keyed by
+# the (cu, cv) = (νa, νb) of the invariant kind whose reaction it solves
+_TWO_SPECIES_FORMS = {kind_reaction(kind): form for kind, form in (
+    ("linear_ratio", single_reversible), ("nonlinear_2A_B", nonlinear_2A_B),
+    ("nonlinear_2A_2B", nonlinear_2A_2B))}
 
 
 def _closed_form_dual(net: ReactionNetwork, a: int, b: int,
@@ -304,6 +306,7 @@ def _closed_form_dual(net: ReactionNetwork, a: int, b: int,
     if (a, b) != (u, v):
         raise ConfigError("closed-form engine expects the experiment pair in the "
                           "reactant -> product orientation")
+    times = frozen_grid(times)  # one copy, kept by both runs
     runs = [Trajectory(times, np.column_stack([np.broadcast_to(cols[i][k], times.shape)
                                                for i in sorted(cols)]),
                        s, f"from {net.names[s]}", net)

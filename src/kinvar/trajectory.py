@@ -20,6 +20,21 @@ def check_grid(times: np.ndarray) -> None:
         raise ValueError("time grid must be strictly increasing")
 
 
+def frozen_grid(times) -> np.ndarray:
+    """A read-only float copy of ``times``, or ``times`` itself if it is one.
+
+    A trajectory keeps its grid this way, so later edits to the caller's
+    array cannot reach it; the two runs of a dual experiment pass one such
+    copy and share it.
+    """
+    if (isinstance(times, np.ndarray) and times.dtype == float
+            and times.flags.owndata and not times.flags.writeable):
+        return times
+    grid = np.array(times, dtype=float)
+    grid.flags.writeable = False
+    return grid
+
+
 def geometric_grid(lo: float, hi: float, points: int) -> np.ndarray:
     """``{0}`` plus ``points`` geometrically spaced times from ``lo`` to ``hi``."""
     return np.concatenate(([0.0], np.geomspace(lo, hi, points)))
@@ -47,7 +62,8 @@ class Trajectory:
     ``initial_species`` is the primed substance; ``label`` is a display tag
     such as ``"from A"``.  When the trajectory came from a network simulation,
     ``network`` keeps a reference so downstream reports can resolve species
-    names and equilibria.  ``stats`` holds the integrator's step counts when
+    names and equilibria.  ``times`` is kept as a read-only copy
+    (:func:`frozen_grid`).  ``stats`` holds the integrator's step counts when
     the adaptive integrator produced the trajectory; it takes no part in
     comparisons.
     """
@@ -60,7 +76,7 @@ class Trajectory:
     stats: IntegratorStats | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = frozen_grid(self.times)
         c = np.asarray(self.concentrations, dtype=float)
         if c.shape[0] != t.shape[0]:
             raise ValueError("times and concentration rows disagree")

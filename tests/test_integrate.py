@@ -27,6 +27,11 @@ from kinvar import (
 )
 from kinvar import _kernels
 from kinvar.integrate import pack_network, primed_amounts
+from kinvar.scenario import _closed_form_dual
+
+
+def _ab(kf=2.0, kb=1.0):
+    return first_order_network(["A", "B"], [("A", "B", kf, kb)])
 
 
 def _ab2(kp=3.0, km=1.0):
@@ -120,6 +125,33 @@ def test_primed_amounts_reject_a_non_finite_total(a0):
     net = _ab2()
     with pytest.raises(ConservationError):
         primed_amounts(net, conservation_vector(net), 0, 1, a0)
+
+
+_DUAL_ENGINES = {
+    "linear": lambda t: dual_experiment(_ab(), 0, 1, t),
+    "nonlinear": lambda t: dual_experiment_nonlinear(_ab2(), 0, 1, times=t),
+    "closed-form": lambda t: _closed_form_dual(_ab2(), 0, 1, t),
+}
+
+
+@pytest.mark.parametrize("engine", list(_DUAL_ENGINES))
+def test_a_dual_experiment_keeps_one_copy_of_its_grid(engine):
+    # an edit to the caller's grid after the run leaves the run's grid as it
+    # was computed; both runs hold the same read-only copy
+    t = np.linspace(0.0, 1.0, 11)
+    dual = _DUAL_ENGINES[engine](t)
+    t[-1] = 100.0
+    assert dual.times[-1] == 1.0
+    assert dual.from_a.times is dual.from_b.times
+    assert not dual.times.flags.writeable
+
+
+def test_a_single_run_keeps_a_copy_of_its_grid():
+    t = np.linspace(0.0, 1.0, 11)
+    runs = [integrate(_ab2(), np.array([1.0, 0.0]), t),
+            simulate_linear(build_rate_matrix(_ab()), np.array([1.0, 0.0]), t)]
+    t[-1] = 100.0
+    assert [run.times[-1] for run in runs] == [1.0, 1.0]
 
 
 def test_integrate_matches_nonlinear_2A_B_closed_form():

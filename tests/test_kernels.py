@@ -13,6 +13,7 @@ import logging
 import math
 import re
 import tokenize
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -139,6 +140,83 @@ def test_per_stage_units_are_bit_identical_to_the_list_loop(case):
         _same_case(case)
 
 
+def _recorded_steps(terms, c0, times, rtol, atol):
+    """``(t, h)`` of every step the loop records on ``times``, as it computed them."""
+    seen = []
+    place = _kernels._place_rows
+
+    def spy(out, grid, filled, rec, n):
+        seen.append(np.frombuffer(rec).reshape(-1, 2 + 9 * n)[:, :2].copy())
+        place(out, grid, filled, rec, n)
+
+    with mock.patch.object(_kernels, "_place_rows", spy):
+        _kernels.integrate_dp54(terms, c0, times, rtol, atol)
+    return seen[0]
+
+
+def _dimer_run(grid_of_ends):
+    """``2A <=> B`` at rtol 1e-10, slow enough that a grid point 1e-13 t
+    past a step end at t > 2 moves its row, on the grid that
+    ``grid_of_ends`` builds from the step ends of the run on a 400-point
+    grid; the steps do not depend on the grid points before its last."""
+    terms, c0, t_max = pack_network(_dimer(0.027, 0.006, 1)), np.array([1.0, 0.0]), 1e3
+    grid = np.concatenate(([0.0], np.geomspace(1e-3, t_max, 399)))
+    t, h = _recorded_steps(terms, c0, grid, 1e-10, 1e-12).T
+    return terms, c0, grid_of_ends(t + h, t_max), 1e-10, 1e-12
+
+
+def _at_and_past_step_ends(ends, t_max):
+    # the last step end before t = 1 and the first past t = 2 (rows 1 and 4),
+    # each followed by a point inside the 1e-13 max(1, t) slack of the same
+    # step (rows 2 and 5), there more than 1e-13 past the end, and by one
+    # halfway to the next step end
+    points = [0.0]
+    for k in (np.flatnonzero(ends < 1.0)[-1], np.flatnonzero(ends > 2.0)[0]):
+        points += [ends[k], ends[k] + 0.5e-13 * max(1.0, ends[k]), 0.5 * (ends[k] + ends[k + 1])]
+    points.append(t_max)
+    assert np.all(np.diff(points) > 0.0)
+    return np.array(points)
+
+
+def _nan_run():
+    # the first step of this 2A <=> B has a NaN error norm, and 32 points
+    # of the geometric grid lie below its end at 1e-6; a grid of those and
+    # the step's end lets the step fill every row, so the run ends and the
+    # reference can run. The rows add inf to -inf, which numpy would warn
+    # about
+    terms = pack_network(_dimer(1.75925889983114e+34, 5.659042239707541e+109, 1))
+    c0 = np.array([3.091908603060316e-99, 0.0])
+    times = np.concatenate(([0.0], np.geomspace(1e-30, 1.0, 40)))
+    status, t_nan, *_ = _kernels.integrate_dp54(terms, c0, times, 1e-10, 1e-12)
+    assert (status, t_nan) == (_kernels.STATUS_NAN_ERROR, 1e-6)
+    return terms, c0, np.append(times[times < t_nan], t_nan), 1e-10, 1e-12
+
+
+# grids that place rows in every way a step can: (terms, c0, grid, rtol, atol)
+_EDGE_RUNS = {
+    "many-points-per-step": lambda: _dimer_run(
+        lambda ends, t_max: np.linspace(0.0, t_max, 4001)),
+    "at-and-within-slack-of-step-ends": lambda: _dimer_run(_at_and_past_step_ends),
+    "every-point-a-step-end": lambda: _dimer_run(
+        lambda ends, t_max: np.concatenate(([0.0], ends[:-1], [t_max]))),
+    "rows-on-the-nan-step": _nan_run,
+}
+
+
+@pytest.mark.parametrize("per_stage", [False, True], ids=["fused", "per-stage"])
+@pytest.mark.parametrize("case", list(_EDGE_RUNS))
+def test_rows_at_and_between_step_ends_are_bit_identical(case, per_stage):
+    terms, c0, times, rtol, atol = _EDGE_RUNS[case]()
+    with _per_stage_units(per_stage):
+        status, _, rows, _ = _same_run(terms, c0, times, rtol, atol)
+    assert status == _kernels.STATUS_OK
+    if case == "at-and-within-slack-of-step-ends":
+        # a point in the slack of a step end takes that step's end state
+        assert rows[[1, 4]].tobytes() == rows[[2, 5]].tobytes()
+    if case == "rows-on-the-nan-step":
+        assert np.isnan(rows[1:]).all()
+
+
 @st.composite
 def _mass_action_networks(draw):
     """2-4 species, 1-4 irreversible steps of total order 1-3."""
@@ -251,10 +329,10 @@ def test_code_cache_keeps_the_shapes_of_one_benchmark_pass():
     (_dimer(2.0, 1.0, 1), "fused loop", 1),
     (_dimer(2.0, 1.0, 2), "fused loop", 1),
     (_stiff(), "fused loop", 1),
-    (_alternating_chain(), "per-stage units", 9),
+    (_alternating_chain(), "per-stage units", 8),
 ])
 def test_small_shapes_fuse_the_step_loop_within_the_budget(net, path, units):
-    # a fused loop compiles alone; past the budget, the loop calls the eight
+    # a fused loop compiles alone; past the budget, the loop calls the seven
     # per-stage units. Either way no unit is longer than the budget
     _kernels._makers.cache_clear()
     chosen, sources = _kernels._sources(*_shape(net))
@@ -264,17 +342,37 @@ def test_small_shapes_fuse_the_step_loop_within_the_budget(net, path, units):
     assert len(_kernels._makers(_shape(net))[1]) == units
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_fused_floor_never_exceeds_the_fused_length(n):
+    # a shape with no terms writes the shortest fused loop of n species
+    assert _kernels._fused_floor(n) <= len(_kernels._loop_source(n, ()))
+
+
+def test_the_chain_skips_writing_its_fused_loop():
+    n, layout = _shape(_alternating_chain())
+    floor = _kernels._fused_floor(n)
+    assert _kernels._SOURCE_BUDGET < floor <= len(_kernels._loop_source(n, layout))
+
+
+@pytest.mark.parametrize("case", list(_CASES))
+def test_the_floor_leaves_every_path_as_the_fused_length_chooses(case):
+    shape = _shape(_CASES[case][0])
+    by_length = ("fused loop" if len(_kernels._loop_source(*shape)) <= _kernels._SOURCE_BUDGET
+                 else "per-stage units")
+    assert _kernels._sources(*shape)[0] == by_length
+
+
 def test_generated_source_holds_only_indices_and_numbers():
     # names from the input never reach the source; every identifier in it is
     # one of the generator's own
     net = make_network(["import os", "__class__"],
                        [Reaction(((0, 2),), ((1, 3),), 2.0, 0.5)])
     allowed = re.compile(
-        r"(mk|rates|atol|rtol|rhs|stage[1-6]|error|dense|loop|c|y|w|h|theta|u|v|err|ynew"
-        r"|times|rows|evals|m|t|t_end|t_new|floor|accepted|rejected|h_min|h_max|next_out"
-        r"|facold|last_rejected|status|fac11|shrink|slack|factor|append|abs|max|len|any|float"
+        r"(mk|rates|atol|rtol|rhs|stage[1-6]|error|loop|c|y|w|h|u|v|err|ynew"
+        r"|times|rec|pack|evals|m|t|t_end|t_new|floor|accepted|rejected|h_min|h_max|next_out"
+        r"|facold|last_rejected|status|fac11|shrink|reach|factor|abs|len|any|float"
         r"|OverflowError|def|return|if|elif|else|while|for|in|and|or|try|except|break"
-        r"|continue|True|False|[qyzwrb]\d+|k\d(_\d+)?)$")
+        r"|continue|True|False|[qyzwr]\d+|k\d(_\d+)?)$")
     names = set()
     for units in (False, True):
         with _per_stage_units(units):
