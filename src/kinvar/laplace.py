@@ -2,34 +2,37 @@
 
 Everything in this module is exact: polynomials in the transform variable s
 carry `Fraction` coefficients, and transfer functions come out as uncancelled
-rational functions. The kernels scale the rates by their common denominator
-and run on Python integers: a determinant over Z[s] is one integer Bareiss
-elimination at s = 2**B (Kronecker substitution), and the spanning-forest
-weights are integer products, rescaled once at the end. Floating-point rate
-constants are taken at their exact binary values, so statements proved here
-are statements about the numbers actually stored, not about nearby reals.
+rational functions. Every routine reads a rate matrix in one form, its
+:func:`exact_view`: the values over the lcm ``D`` of their denominators, as
+Python integers. Floating-point rate constants are taken at their exact
+binary values, so statements proved here are statements about the numbers
+actually stored, not about nearby reals. On those integers a determinant over
+Z[s] is one integer Bareiss elimination at s = 2**B (Kronecker substitution),
+the spanning-forest weights are integer products, and the certificate, the
+path constant and the cycle products are integer products in which ``D``
+cancels or is divided out once, at the end.
 
 Two independent routes to the transfer function L[target <- source](s) are
 provided: resolvent cofactors of (sI - M), and the weighted spanning-forest
 expansion of the same cofactors. They must agree coefficient by coefficient,
-which the tests exploit as a cross-check; the forest route reads only the
-rates, so it refuses a matrix whose diagonal is not exactly minus its
-column's rates. Fixed-proportion proofs try an exact detailed-balance
-certificate first and expand cofactors only when it fails; the certificate,
-like the exact entries and rates it reads, is shared by every pair of one
-rate matrix through :func:`exact_view`. :func:`pair_constant` is the one
-routine for a pair's constant K, from the certificate or a shortest reversible
-path, on a proof's Fraction rates and a network view's ``exact_rates`` alike.
+which the tests exploit as a cross-check; the cofactors read the matrix's own
+diagonal, while the forest route reads only the rates, so it refuses a matrix
+whose diagonal is not exactly minus its column's rates. Fixed-proportion
+proofs try an exact detailed-balance certificate first and expand cofactors
+only when it fails. The view keeps the integer matrix and rate map, the
+certificate, the cofactor rows and det(sI - M) for every pair of one rate
+matrix. :func:`pair_constant` is the one routine for a pair's constant K, from
+the certificate or a shortest reversible path, on the view's integer rates
+and a network view's ``exact_rates`` alike.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Optional
 
 from .errors import NoReversiblePathError
 from .network import (
@@ -42,12 +45,15 @@ from .network import (
     first_order_view,
     path_products,
     reversible_edges,
+    scaled_integers,
     shortest_path,
 )
 
 log = logging.getLogger(__name__)
 
 _FOREST_LIMIT = 12
+
+_ZERO = Fraction(0)
 
 
 def _as_fraction(x) -> Fraction:
@@ -181,8 +187,8 @@ class RationalFunction:
 # product of the row l1 norms bounds the l1 norm of every minor; with X above
 # four times that bound a minor evaluates to 0 only when it is the zero
 # polynomial, so pivots and sign are those of the polynomial elimination, and
-# the balanced base-X digits of the result are its coefficients. Rational
-# input is scaled to integers first and the determinant rescaled at the end.
+# the balanced base-X digits of the result are its coefficients. The exact
+# view's rows are D (sI - M), so the determinant is rescaled at the end.
 
 def _kronecker_det(rows: list) -> list:
     """Determinant of a square matrix of integer coefficient lists (ascending).
@@ -234,90 +240,152 @@ def _scaled_det(rows: list, scale: int) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# exact rate matrices and cofactor transfer functions
+# the exact view of a rate matrix
 # ---------------------------------------------------------------------------
 
-ExactEntries = Sequence[Sequence[Fraction]]
+class ExactView:
+    """Exact data that every species pair of one rate matrix shares.
 
-
-_ZERO = Fraction(0)
-
-
-def exact_entries(M) -> list:
-    """Square matrix of Fractions from a RateMatrix or any nested sequence.
-
-    Floats are converted at their exact binary values; zeros share one
-    ``Fraction(0)``.
+    ``matrix`` holds the matrix's values over the lcm ``D`` of their
+    denominators (:func:`~kinvar.network.scaled_integers`) as read-only rows
+    of integers, its own diagonal included. Every exact routine reads this
+    one form; each further part is computed from it on first use. ``D``
+    cancels from every rate ratio and is divided out of every polynomial and
+    cycle product that leaves the view.
     """
+
+    def __init__(self, key: tuple, rows):
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise ValueError("rate matrix must be square")
+        self.key = key
+        self.D, scaled = scaled_integers([x for row in rows for x in row])
+        self.matrix = tuple(tuple(scaled[i * n:(i + 1) * n]) for i in range(n))
+
+    @cached_property
+    def rates(self) -> dict:
+        """Integer rate map ``rates[(u, v)] = D M[v][u]`` of the positive
+        off-diagonal entries, keyed by ``u``, then ``v``."""
+        A = self.matrix
+        n = len(A)
+        return {(u, v): A[v][u] for u in range(n) for v in range(n) if u != v and A[v][u] > 0}
+
+    @cached_property
+    def rows(self) -> list:
+        """The integer coefficient lists of ``D (sI - M)``: ``[-D M_ii, D]`` on
+        the diagonal and ``[-D M_ij]`` off it."""
+        rows = [[[-x] for x in row] for row in self.matrix]
+        for i, row in enumerate(rows):
+            row[i].append(self.D)
+        return rows
+
+    @cached_property
+    def det(self) -> Polynomial:
+        """``det(sI - M)``, the denominator of every transfer function."""
+        return _scaled_det(self.rows, self.D)
+
+    def cofactor(self, source: int, target: int) -> Polynomial:
+        """Numerator polynomial of L[target <- source](s).
+
+        The resolvent entry (sI - M)^{-1}[target, source] equals
+        (-1)^(source+target) det((sI - M) with row source and column target
+        removed) over det(sI - M).
+        """
+        minor = [[p for j, p in enumerate(row) if j != target]
+                 for i, row in enumerate(self.rows) if i != source]
+        num = _scaled_det(minor, self.D)
+        return -num if (source + target) % 2 else num
+
+    @cached_property
+    def certificate(self) -> BalanceCertificate:
+        """The :func:`~kinvar.network.balance_certificate` of the integer rates.
+
+        A negative off-diagonal entry fails it first: the rate map leaves such
+        an entry out, and ``M diag(h)`` cannot be symmetric with it.
+        """
+        A = self.matrix
+        n = len(A)
+        if any(A[i][j] < 0 for i in range(n) for j in range(n) if i != j):
+            return BalanceCertificate(None, None, "an off-diagonal entry is negative")
+        return balance_certificate(n, self.rates)
+
+    @cached_property
+    def cycle_violations(self) -> tuple:
+        """The :class:`~kinvar.network.CycleCondition` of each unbalanced basis
+        cycle, in unscaled Fractions; none when the certificate holds."""
+        if self.certificate.failure is None:
+            return ()
+        out = []
+        for cycle, fwd, back in cycle_products(len(self.matrix), self.rates):
+            if fwd != back:
+                scale = self.D ** (len(cycle) - 1)  # one rate per step
+                out.append(CycleCondition(tuple(cycle), Fraction(fwd, scale),
+                                          Fraction(back, scale)))
+        return tuple(out)
+
+
+# one slot: callers take one matrix at a time through its pairs, and a slot
+# per matrix seen would keep every matrix's data alive
+_last_exact_view: Optional[ExactView] = None
+
+
+def exact_view(M) -> ExactView:
+    """The :class:`ExactView` of ``M``, shared while consecutive calls pass equal values.
+
+    ``M`` is a RateMatrix, an array or a square nested sequence of floats,
+    ints or Fractions. The key is the shape, dtype and bytes of a RateMatrix's
+    (or array's) entries, otherwise the nested values as tuples, so a rebuilt
+    but equal matrix hits, and an edited one misses even when it is the same
+    object. Nested floats and Fractions of equal value compare equal, and so
+    share one view.
+    """
+    global _last_exact_view
     entries = getattr(M, "entries", M)
-    if hasattr(entries, "tolist"):
-        entries = entries.tolist()
-    rows = [[_as_fraction(x) if x else _ZERO for x in row] for row in entries]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("rate matrix must be square")
-    return rows
+    if hasattr(entries, "tobytes"):
+        key = ("array", entries.shape, entries.dtype.str, entries.tobytes())
+        n = entries.shape[0] if entries.shape else 0
+    else:
+        key = ("rows", tuple(map(tuple, entries)))
+        n = len(key[1])
+    view = _last_exact_view
+    if view is not None and view.key == key:
+        state = "reused"
+    else:
+        rows = entries.tolist() if key[0] == "array" else key[1]
+        _last_exact_view = view = ExactView(key, rows)
+        state = "computed"
+    log.debug("exact view of %d species: %s", n, state)
+    return view
 
 
-def _char_rows(entries: ExactEntries) -> tuple:
-    """``(D, rows)``: the integer coefficient lists of ``D (sI - M)``.
+# ---------------------------------------------------------------------------
+# cofactor transfer functions
+# ---------------------------------------------------------------------------
 
-    ``D`` is the lcm of the entry denominators, so ``A = D M`` is integer; a
-    diagonal entry is ``[-A_ii, D]`` and an off-diagonal one ``[-A_ij]``.
-    """
-    D = reduce(math.lcm, (x.denominator for row in entries for x in row), 1)
-    rows = [[[-x.numerator * (D // x.denominator)] for x in row] for row in entries]
-    for i, row in enumerate(rows):
-        row[i].append(D)
-    return D, rows
+def _checked_view(M, source: int, target: int) -> ExactView:
+    view = exact_view(M)
+    n = len(view.matrix)
+    if not (0 <= source < n and 0 <= target < n):
+        raise IndexError("species index out of range")
+    return view
 
 
 def characteristic_polynomial(M) -> Polynomial:
-    D, rows = _char_rows(exact_entries(M))
-    return _scaled_det(rows, D)
-
-
-def _cofactor(D: int, rows: list, source: int, target: int) -> Polynomial:
-    minor = [[p for j, p in enumerate(row) if j != target]
-             for i, row in enumerate(rows) if i != source]
-    num = _scaled_det(minor, D)
-    return -num if (source + target) % 2 else num
-
-
-def cofactor_numerator(entries: ExactEntries, source: int, target: int) -> Polynomial:
-    """Numerator polynomial of L[target <- source](s).
-
-    The resolvent entry (sI - M)^{-1}[target, source] equals
-    (-1)^(source+target) det((sI - M) with row source and column target
-    removed) over det(sI - M).
-    """
-    return _cofactor(*_char_rows(entries), source, target)
+    """det(sI - M), exactly."""
+    return exact_view(M).det
 
 
 def transfer_function_cofactor(M, source: int, target: int) -> RationalFunction:
     """L[target <- source](s) by exact cofactor expansion of (sI - M)."""
-    entries = exact_entries(M)
-    n = len(entries)
-    if not (0 <= source < n and 0 <= target < n):
-        raise IndexError("species index out of range")
-    D, rows = _char_rows(entries)
-    return RationalFunction(_cofactor(D, rows, source, target), _scaled_det(rows, D))
+    view = _checked_view(M, source, target)
+    return RationalFunction(view.cofactor(source, target), view.det)
 
 
 # ---------------------------------------------------------------------------
 # spanning-forest route
 # ---------------------------------------------------------------------------
 
-def _out_neighbors(entries: ExactEntries) -> list:
-    """adjacency[u] = sorted list of v with an edge u -> v (rate M[v][u] > 0)."""
-    n = len(entries)
-    return [
-        [v for v in range(n) if v != u and entries[v][u].numerator > 0]
-        for u in range(n)
-    ]
-
-
-def _forest_sweep(entries: ExactEntries):
+def _forest_sweep(view: ExactView):
     """One pass over all spanning in-forests of every root set.
 
     Returns (den, nums) where den is det(sI - M) assembled from the forest
@@ -326,24 +394,25 @@ def _forest_sweep(entries: ExactEntries):
     (coefficient of s^(r-1) = total weight of r-rooted forests in which
     target is a root and source sits in target's tree).
 
-    The arc rates are scaled to integers by their common denominator D; an
+    The arcs carry the view's integer rates, scaled by its ``D``; an
     r-rooted forest has n - r arcs, so its weight is rescaled by D**(n - r)
     once, at the end. The expansion reads only the off-diagonal rates, so it
     raises ``ValueError`` unless they are nonnegative and each diagonal entry
     is exactly minus its column's rates.
     """
-    n = len(entries)
+    A, D = view.matrix, view.D
+    n = len(A)
     if n > _FOREST_LIMIT:
         raise ValueError(f"forest enumeration is limited to {_FOREST_LIMIT} species")
     for v in range(n):
-        rates = [entries[w][v] for w in range(n) if w != v]
-        if min(rates, default=0) < 0 or entries[v][v] != -sum(rates):
+        rates = [A[w][v] for w in range(n) if w != v]
+        if min(rates, default=0) < 0 or A[v][v] != -sum(rates):
             raise ValueError(f"forest expansion needs a rate matrix: column {v} has a "
                              "negative rate or a diagonal other than minus its rates")
-    adj = _out_neighbors(entries)
-    D = reduce(math.lcm, (entries[w][v].denominator for v in range(n) for w in adj[v]), 1)
-    arcs = [[(w, entries[w][v].numerator * (D // entries[w][v].denominator))
-             for w in adj[v]] for v in range(n)]
+    # arcs[v]: (w, rate) of each arc v -> w, in increasing w
+    arcs = [[] for _ in range(n)]
+    for (v, w), k in view.rates.items():
+        arcs[v].append((w, k))
     den = [0] * (n + 1)
     nums = [[[0] * n for _ in range(n)] for _ in range(n)]
     parent = [-1] * n
@@ -381,18 +450,13 @@ def _forest_sweep(entries: ExactEntries):
 
 def transfer_function_forest(M, source: int, target: int) -> RationalFunction:
     """L[target <- source](s) from the weighted spanning-forest expansion."""
-    entries = exact_entries(M)
-    n = len(entries)
-    if not (0 <= source < n and 0 <= target < n):
-        raise IndexError("species index out of range")
-    den, nums = _forest_sweep(entries)
+    den, nums = _forest_sweep(_checked_view(M, source, target))
     return RationalFunction(nums[(source, target)], den)
 
 
 def all_transfer_functions_forest(M) -> dict:
     """Every pair's transfer function from a single forest enumeration."""
-    entries = exact_entries(M)
-    den, nums = _forest_sweep(entries)
+    den, nums = _forest_sweep(exact_view(M))
     return {pair: RationalFunction(num, den) for pair, num in nums.items()}
 
 
@@ -400,22 +464,13 @@ def all_transfer_functions_forest(M) -> dict:
 # reversible paths, cycle products, proportionality proof
 # ---------------------------------------------------------------------------
 
-def _rate_map(entries: ExactEntries) -> dict:
-    """Sparse rate map ``rates[(u, v)] = M[v][u]`` of the positive off-diagonal entries."""
-    n = len(entries)
-    return {
-        (u, v): entries[v][u]
-        for u in range(n) for v in range(n)
-        if u != v and entries[v][u].numerator > 0
-    }
-
-
 def pair_constant(certificate: BalanceCertificate, n: int, rates: dict,
                   a: int, b: int) -> Optional[Fraction]:
     """K of ``a <=> b`` on an exact rate map: the holding ``certificate``'s
     ``h_b / h_a``, which every reversible path's product of forward/backward
     rate ratios equals, else that product along a shortest reversible path;
-    None when no reversible path joins the pair."""
+    None when no reversible path joins the pair. A positive factor common to
+    every rate cancels from both."""
     if certificate.failure is None:
         return certificate.constant(a, b)
     path = shortest_path(n, reversible_edges(rates), a, b)
@@ -435,81 +490,6 @@ def exact_cycle_violations(M) -> list:
     return list(exact_view(M).cycle_violations)
 
 
-class ExactView:
-    """Exact data that every species pair of one rate matrix shares, each part
-    computed on first use from a snapshot of the matrix's values."""
-
-    def __init__(self, key: tuple, rows):
-        self.key = key
-        self._rows = rows
-
-    @cached_property
-    def entries(self) -> tuple:
-        """The :func:`exact_entries`, as read-only rows."""
-        return tuple(map(tuple, exact_entries(self._rows)))
-
-    @cached_property
-    def rates(self) -> dict:
-        return _rate_map(self.entries)
-
-    @cached_property
-    def certificate(self) -> BalanceCertificate:
-        """The :func:`~kinvar.network.balance_certificate` of the Fraction rates.
-
-        A negative off-diagonal entry fails it first: the rate map leaves such
-        an entry out, and ``M diag(h)`` cannot be symmetric with it.
-        """
-        entries = self.entries
-        n = len(entries)
-        # a Fraction's sign is its numerator's, which is far cheaper to compare
-        if any(entries[i][j].numerator < 0 for i in range(n) for j in range(n) if i != j):
-            return BalanceCertificate(None, None, "an off-diagonal entry is negative")
-        return balance_certificate(n, self.rates)
-
-    @cached_property
-    def cycle_violations(self) -> tuple:
-        """The :class:`~kinvar.network.CycleCondition` of each unbalanced basis
-        cycle, in Fractions; none when the certificate holds."""
-        if self.certificate.failure is None:
-            return ()
-        return tuple(CycleCondition(tuple(cycle), fwd, back)
-                     for cycle, fwd, back in cycle_products(len(self.entries), self.rates)
-                     if fwd != back)
-
-
-# one slot: callers take one matrix at a time through its pairs, and a slot
-# per matrix seen would keep every matrix's data alive
-_last_exact_view: Optional[ExactView] = None
-
-
-def exact_view(M) -> ExactView:
-    """The :class:`ExactView` of ``M``, shared while consecutive calls pass equal values.
-
-    The key is the shape, dtype and bytes of a RateMatrix's (or array's)
-    entries, otherwise the nested values as tuples, so a rebuilt but equal
-    matrix hits, and an edited one misses even when it is the same object.
-    Nested floats and Fractions of equal value compare equal, and so share
-    one view.
-    """
-    global _last_exact_view
-    entries = getattr(M, "entries", M)
-    if hasattr(entries, "tobytes"):
-        key = ("array", entries.shape, entries.dtype.str, entries.tobytes())
-        n = entries.shape[0] if entries.shape else 0
-    else:
-        key = ("rows", tuple(map(tuple, entries)))
-        n = len(key[1])
-    view = _last_exact_view
-    if view is not None and view.key == key:
-        state = "reused"
-    else:
-        rows = entries.tolist() if key[0] == "array" else key[1]
-        _last_exact_view = view = ExactView(key, rows)
-        state = "computed"
-    log.debug("exact view of %d species: %s", n, state)
-    return view
-
-
 @dataclass(frozen=True)
 class ProofReport:
     """Outcome of the exact fixed-proportion check for one species pair.
@@ -520,7 +500,8 @@ class ProofReport:
     detailed balance on every edge) or ``"cofactor"`` (both numerators
     expanded and compared); ``certificate_failure`` is None in the first case
     and says why the certificate failed in the second. The numerators are
-    expanded from ``entries`` on first access when the certificate decided.
+    expanded from the :class:`ExactView` ``view`` on first access when the
+    certificate decided.
     """
 
     pair: tuple
@@ -530,17 +511,17 @@ class ProofReport:
     cycle_violations: tuple
     method: str
     certificate_failure: Optional[str]
-    entries: ExactEntries = field(repr=False, compare=False)
+    view: ExactView = field(repr=False, compare=False)
 
     @cached_property
     def numerator_b_from_a(self) -> Polynomial:
         a, b = self.pair
-        return cofactor_numerator(self.entries, a, b)
+        return self.view.cofactor(a, b)
 
     @cached_property
     def numerator_a_from_b(self) -> Polynomial:
         a, b = self.pair
-        return cofactor_numerator(self.entries, b, a)
+        return self.view.cofactor(b, a)
 
     def to_dict(self) -> dict:
         return {
@@ -571,22 +552,18 @@ def prove_fixed_proportion(M, a: int, b: int) -> ProofReport:
     coefficient by coefficient against K. Linearity of the inverse transform
     carries exact Laplace-domain proportionality to every t.
 
-    The entries, rates, certificate and cycle violations come from
+    The integer matrix, rates, certificate and cycle violations come from
     :func:`exact_view`, so the pairs of one matrix share them.
 
     Raises :class:`NoReversiblePathError` when no reversible path connects
     the pair. Detailed-balance failures are not raised: they are reported in
     ``cycle_violations`` and normally surface as a failing coefficient.
     """
-    view = exact_view(M)
-    entries = view.entries
-    n = len(entries)
-    if not (0 <= a < n and 0 <= b < n):
-        raise IndexError("species index out of range")
+    view = _checked_view(M, a, b)
     if a == b:
         raise ValueError("fixed proportion needs two distinct species")
     certificate = view.certificate
-    K = pair_constant(certificate, n, view.rates, a, b)
+    K = pair_constant(certificate, len(view.matrix), view.rates, a, b)
     if K is None:
         raise NoReversiblePathError(
             f"species {a} and {b} are not connected by reversible steps"
@@ -595,10 +572,10 @@ def prove_fixed_proportion(M, a: int, b: int) -> ProofReport:
         log.debug("proof certificate: detailed balance holds on every edge")
         return ProofReport(pair=(a, b), K=K, verified=True, failing_coefficient=None,
                            cycle_violations=(), method="certificate",
-                           certificate_failure=None, entries=entries)
+                           certificate_failure=None, view=view)
     log.debug("proof cofactor: %s", certificate.failure)
-    num_ba = cofactor_numerator(entries, a, b)
-    num_ab = cofactor_numerator(entries, b, a)
+    num_ba = view.cofactor(a, b)
+    num_ab = view.cofactor(b, a)
     scaled = K * num_ab
     failing = None
     for k in range(max(num_ba.degree, scaled.degree) + 1):
@@ -608,7 +585,7 @@ def prove_fixed_proportion(M, a: int, b: int) -> ProofReport:
     report = ProofReport(pair=(a, b), K=K, verified=failing is None,
                          failing_coefficient=failing, cycle_violations=view.cycle_violations,
                          method="cofactor", certificate_failure=certificate.failure,
-                         entries=entries)
+                         view=view)
     # fill the caches of the lazy numerators with the ones just expanded
     vars(report).update(numerator_b_from_a=num_ba, numerator_a_from_b=num_ab)
     return report
@@ -625,7 +602,7 @@ def path_equilibrium_constant(net: ReactionNetwork, a: int, b: int) -> Fraction:
 
     K is the proof's :func:`pair_constant` on the network's
     :func:`~kinvar.network.first_order_view`: its certificate and its
-    ``exact_rates``, whose power-of-two scale cancels from every ratio.
+    ``exact_rates``, whose scale cancels from every ratio.
     """
     if not (0 <= a < net.n and 0 <= b < net.n):
         raise IndexError("species index out of range")
@@ -655,11 +632,14 @@ def exact_generator(n: int, rates: dict) -> list:
 def exact_balance(M) -> list:
     """Exactly detailed-balanced copy of a merged rate matrix, in rationals.
 
-    The rates are rebalanced by :func:`~kinvar.network.balanced_rates`, the
-    rule ``balance_network`` applies in floats, and the matrix is rebuilt from
-    them by :func:`exact_generator`, so a negative off-diagonal entry, which is
-    no rate, is dropped. The new rates are generally not floats.
+    The rates of the :func:`exact_view` are rebalanced by
+    :func:`~kinvar.network.balanced_rates`, the rule ``balance_network``
+    applies in floats, which raises :class:`~kinvar.errors.BalanceError` as it
+    does there when a cycle has an irreversible step. The matrix is rebuilt
+    from them by :func:`exact_generator`, so a negative off-diagonal entry,
+    which is no rate, is dropped. The new rates are generally not floats.
     """
-    entries = exact_entries(M)
-    n = len(entries)
-    return exact_generator(n, balanced_rates(n, _rate_map(entries)))
+    view = exact_view(M)
+    n = len(view.matrix)
+    rates = {edge: Fraction(k, view.D) for edge, k in view.rates.items()}
+    return exact_generator(n, balanced_rates(n, rates))

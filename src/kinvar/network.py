@@ -459,9 +459,14 @@ def balanced_rates(n: int, rates, names=None) -> dict:
     its product against.  The cycles share no non-tree edge, so one pass
     balances them all, in the arithmetic of ``rates``.
 
-    Raises :class:`BalanceError`, naming the cycle by ``names`` (indices by
-    default), when a rescaled float rate overflows or underflows to 0.
+    Raises :class:`BalanceError` when some cycle of the full rate graph
+    contains an irreversible step (its backward product is pinned at zero),
+    or, naming the cycle by ``names`` (indices by default), when a rescaled
+    float rate overflows or underflows to 0.
     """
+    for cycle in spanning_forest(n, rates).cycles():
+        if any((x, y) not in rates or (y, x) not in rates for x, y in zip(cycle, cycle[1:])):
+            raise BalanceError("cycle contains an irreversible step; cannot balance")
     out = dict(rates)
     for cycle, along, against in cycle_products(n, rates):
         u, v = cycle[0], cycle[1]
@@ -481,21 +486,15 @@ def balance_network(net: ReactionNetwork) -> ReactionNetwork:
     """Rescale one merged rate per basis cycle so every cycle condition holds.
 
     The merged rates are balanced by :func:`balanced_rates`, the rule that
-    :func:`~kinvar.laplace.exact_balance` applies in rationals.  A rescaled
-    merged rate ``k(x -> y)`` scales the ``k_forward`` of every reaction
-    ``x -> y`` and the ``k_backward`` of every reaction ``y -> x`` by one
-    factor.  A network whose cycle products agree exactly comes back unchanged.
-
-    Raises :class:`BalanceError` when some cycle of the full reaction graph
-    contains an irreversible step (its backward product is pinned at zero),
-    or when a rescaled rate leaves the float range.
+    :func:`~kinvar.laplace.exact_balance` applies in rationals, and which
+    raises :class:`BalanceError` for a cycle with an irreversible step or a
+    rescaled rate outside the float range.  A rescaled merged rate
+    ``k(x -> y)`` scales the ``k_forward`` of every reaction ``x -> y`` and
+    the ``k_backward`` of every reaction ``y -> x`` by one factor.  A network
+    whose cycle products agree exactly comes back unchanged.
     """
     _require_first_order(net, "balance_network")
     rates = merged_rates(net)
-    for cycle in spanning_forest(net.n, rates).cycles():
-        steps = zip(cycle, cycle[1:])
-        if any((x, y) not in rates or (y, x) not in rates for x, y in steps):
-            raise BalanceError("cycle contains an irreversible step; cannot balance")
     k = balanced_rates(net.n, rates, net.names)
 
     def rescaled(pair, old: float) -> float:
@@ -556,6 +555,20 @@ def rate_entries(net: ReactionNetwork) -> dict[tuple[int, int], float]:
 
 # ---------------------------------------------------------------------------
 # first-order view
+
+
+def scaled_integers(values) -> tuple[int, list[int]]:
+    """``(D, [D * x for x in values])``: exact numbers over the lcm ``D`` of
+    their denominators, as integers.
+
+    Floats count at their binary values, ints and Fractions as they are; for
+    floats ``D`` is their largest power-of-two denominator. A rational with
+    no ``as_integer_ratio``, such as a numpy integer, is read as a Fraction.
+    """
+    ratios = [(x if hasattr(x, "as_integer_ratio") else Fraction(x)).as_integer_ratio()
+              for x in values]
+    D = math.lcm(*{q for _, q in ratios})
+    return D, [p * (D // q) for p, q in ratios]
 
 
 @dataclass(frozen=True)
@@ -658,20 +671,14 @@ class FirstOrderView:
     def exact_rates(self) -> dict[tuple[int, int], int]:
         """The :func:`merged_rates` summed exactly, as Fractions would be, in integers.
 
-        Every rate is scaled by the one power of two that makes each rate
-        constant an integer, a factor that cancels from every rate ratio,
-        cycle product and path constant. Integer products cost a fraction of
-        Fraction ones.
+        Every rate constant is taken over the :func:`scaled_integers`
+        denominator of them all, the one form of exact rates that
+        ``kinvar.laplace`` reads too; the factor cancels from every rate
+        ratio, cycle product and path constant. Integer products cost a
+        fraction of Fraction ones.
         """
-        net = self.net
-        ks = [k for rxn in net.reactions for k in (rxn.k_forward, rxn.k_backward)]
-        shift = max((k.as_integer_ratio()[1].bit_length() for k in ks), default=1) - 1
-
-        def scaled(k) -> int:
-            p, q = k.as_integer_ratio()
-            return p << (shift + 1 - q.bit_length())
-
-        return merged_rates(net, scaled)
+        ks = [k for rxn in self.net.reactions for k in (rxn.k_forward, rxn.k_backward)]
+        return merged_rates(self.net, dict(zip(ks, scaled_integers(ks)[1])).__getitem__)
 
     @cached_property
     def certificate(self) -> BalanceCertificate:

@@ -1,8 +1,11 @@
 """Shared test helpers: seeded RNGs, random network generators and the
 printed three-cycle transforms."""
 
+import importlib.util
+import sys
 from collections import namedtuple
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +60,18 @@ def perturbed_network(rng, net):
             for r in net.reactions
         ],
     )
+
+
+def benchmark_networks(seed):
+    """The seeded balanced networks of the benchmark's exact-proof workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tasks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tasks", path)
+    module = sys.modules.get(spec.name)
+    if module is None:
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses look their module up
+        spec.loader.exec_module(module)
+    return module.build("exact-proof", seed).networks
 
 
 def parallel_path_network():

@@ -316,6 +316,24 @@ def test_balance_command(tmp_path, capsys):
     assert (tmp_path / "balanced_network.json").exists()
 
 
+# A <=> B and B <=> C close a cycle through the irreversible C -> A, which no
+# rescaling of rates balances
+_IRREVERSIBLE_CYCLE = first_order_network(list("ABC"), [
+    ("A", "B", 2.0, 1.0), ("B", "C", 1.0, 3.0), ("C", "A", 1.0, 0.0)])
+
+
+@pytest.mark.parametrize("argv", [["balance"], ["prove", "--balance", "--pair", "A,B"],
+                                  ["prove", "--balance", "--all-pairs"]],
+                         ids=["balance", "prove-balance", "prove-balance-all-pairs"])
+def test_every_balancer_refuses_an_irreversible_cycle_in_one_line(tmp_path, capsys, argv):
+    save_network(_IRREVERSIBLE_CYCLE, tmp_path / "net.json")
+    assert main(argv + ["--config", str(tmp_path / "net.json"),
+                        "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr() == \
+        ("", "error: cycle contains an irreversible step; cannot balance\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_balance_report_counts_forward_rescaling(tmp_path, capsys):
     # The basis cycle C -> B -> A -> C closes on the non-tree edge C -> B, so
     # balancing rescales the merged k(B -> C), to which the B -> C reaction

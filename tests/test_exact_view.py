@@ -1,11 +1,9 @@
 """The exact view: one slot of per-matrix exact data shared by every proof pair."""
 
 import dataclasses
-import importlib.util
 import logging
-import sys
+from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,34 +11,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exact_view_reference
-from conftest import balanced_integer_network, perturbed_network
+from conftest import balanced_integer_network, benchmark_networks, perturbed_network
 from kinvar import (
     NoReversiblePathError,
+    all_transfer_functions_forest,
     build_rate_matrix,
     butene_cycle,
+    characteristic_polynomial,
     exact_balance,
     exact_cycle_violations,
     first_order_network,
     make_network,
     prove_fixed_proportion,
+    transfer_function_cofactor,
 )
 from kinvar import laplace
-from kinvar.laplace import exact_entries, exact_view
+from kinvar.laplace import exact_view
 
 _FIELDS = ("pair", "K", "verified", "failing_coefficient", "cycle_violations", "method",
-           "numerator_b_from_a", "numerator_a_from_b")
-
-
-def _benchmark_networks(seed):
-    """The seeded balanced networks of the benchmark's exact-proof workload."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tasks.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tasks", path)
-    module = sys.modules.get(spec.name)
-    if module is None:
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = module  # dataclasses look their module up
-        spec.loader.exec_module(module)
-    return module.build("exact-proof", seed).networks
+           "certificate_failure", "numerator_b_from_a", "numerator_a_from_b")
 
 
 def _outcome(prove, M, a, b):
@@ -52,7 +41,7 @@ def _outcome(prove, M, a, b):
 
 def _assert_same_reports(M):
     """Every ordered pair of ``M`` proves field by field as the per-call reference does."""
-    n = len(exact_entries(M))
+    n = len(exact_view_reference.exact_entries(M))
     for a in range(n):
         for b in range(n):
             if a == b:
@@ -70,7 +59,7 @@ def _assert_same_reports(M):
 
 @pytest.mark.parametrize("seed", [21, 41, 42])
 def test_benchmark_networks_prove_as_the_reference(seed):
-    for net in _benchmark_networks(seed):
+    for net in benchmark_networks(seed):
         _assert_same_reports(build_rate_matrix(net))
 
 
@@ -78,6 +67,86 @@ def test_benchmark_networks_prove_as_the_reference(seed):
 def test_butene_proves_as_the_reference(balanced):
     M = build_rate_matrix(butene_cycle())
     _assert_same_reports(exact_balance(M) if balanced else M)
+
+
+def _perturbed_networks():
+    """Seeded balanced networks of 3-8 species with every backward rate scaled
+    by a random factor: their float diagonals round the column sums."""
+    rng = np.random.default_rng(29)
+    return [perturbed_network(rng, balanced_integer_network(rng, n)[0]) for n in range(3, 9)]
+
+
+def _one_form_subjects():
+    """Raw and balanced butene, the exact-proof networks of seeds 21, 41 and
+    42, and the perturbed networks, raw and exactly balanced."""
+    butene = build_rate_matrix(butene_cycle())
+    subjects = {"butene-raw": butene, "butene-balanced": exact_view_reference.exact_balance(butene)}
+    for seed in (21, 41, 42):
+        for net in benchmark_networks(seed):
+            subjects[f"exact-proof-{seed}-n{net.n}"] = build_rate_matrix(net)
+    for net in _perturbed_networks():
+        M = build_rate_matrix(net)
+        subjects[f"perturbed-n{net.n}"] = M
+        subjects[f"perturbed-n{net.n}-balanced"] = exact_view_reference.exact_balance(M)
+    return subjects
+
+
+_SUBJECTS = _one_form_subjects()
+
+
+def test_perturbed_float_diagonals_are_not_the_exact_column_sums():
+    # so the cofactors there read a diagonal that the forests refuse
+    rounded = 0
+    for net in _perturbed_networks():
+        M = build_rate_matrix(net).entries.tolist()
+        rounded += any(Fraction(M[j][j]) != -sum(Fraction(M[i][j]) for i in range(net.n)
+                                                   if i != j) for j in range(net.n))
+    assert rounded >= 3
+
+
+def _forest_outcome(forest, M):
+    try:
+        return forest(M)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", _SUBJECTS)
+def test_exact_routines_equal_the_per_call_reference(name):
+    M = _SUBJECTS[name]
+    n = len(exact_view_reference.exact_entries(M))
+    assert characteristic_polynomial(M) == exact_view_reference.characteristic_polynomial(M)
+    for source in range(n):
+        for target in range(n):
+            assert transfer_function_cofactor(M, source, target) == \
+                exact_view_reference.transfer_function_cofactor(M, source, target)
+    if n <= 8:
+        assert _forest_outcome(all_transfer_functions_forest, M) == \
+            _forest_outcome(exact_view_reference.all_transfer_functions_forest, M)
+    assert exact_balance(M) == exact_view_reference.exact_balance(M)
+
+
+@pytest.mark.parametrize("name", [name for name in _SUBJECTS if name.startswith("perturbed")])
+def test_perturbed_networks_prove_as_the_reference(name):
+    _assert_same_reports(_SUBJECTS[name])
+
+
+def test_cofactors_of_one_matrix_expand_the_denominator_once(monkeypatch):
+    calls = Counter()
+    real = laplace._kronecker_det
+
+    def counted(rows):
+        calls["_kronecker_det"] += 1
+        return real(rows)
+
+    monkeypatch.setattr(laplace, "_kronecker_det", counted)
+    monkeypatch.setattr(laplace, "_last_exact_view", None)
+    M = _SUBJECTS["exact-proof-21-n6"]
+    for source in range(M.n):
+        for target in range(M.n):
+            transfer_function_cofactor(M, source, target)
+    # one minor per pair, and det(sI - M) once for all of them
+    assert calls == {"_kronecker_det": M.n ** 2 + 1}
 
 
 def _disconnected(net, other):
@@ -120,8 +189,9 @@ def test_rebuilt_equal_matrix_hits(rng):
     view = exact_view(build_rate_matrix(net))
     assert exact_view(build_rate_matrix(net)) is view
     assert exact_view(build_rate_matrix(net).entries) is view  # the bare array too
-    other = exact_view(exact_entries(build_rate_matrix(net)))
-    assert other.entries == view.entries
+    other = exact_view(exact_view_reference.exact_entries(build_rate_matrix(net)))
+    assert other is not view
+    assert (other.D, other.matrix) == (view.D, view.matrix)
 
 
 def test_nested_list_edited_in_place_misses(rng):
@@ -138,13 +208,13 @@ def test_nested_list_edited_in_place_misses(rng):
     reference = exact_view_reference.prove_fixed_proportion(rows, 0, 1)
     for name in _FIELDS:
         assert getattr(after, name) == getattr(reference, name)
-    assert after.entries != before.entries
+    assert after.view.matrix != before.view.matrix
 
 
 def test_float_and_fraction_matrices_of_equal_value_agree(rng):
     net, _ = balanced_integer_network(rng, 6)
     M = build_rate_matrix(net)
-    floats, fractions = M.entries.tolist(), exact_entries(M)
+    floats, fractions = M.entries.tolist(), exact_view_reference.exact_entries(M)
     assert exact_view(floats) is exact_view(fractions)
     for a, b in ((0, 1), (5, 2)):
         reports = [prove_fixed_proportion(X, a, b) for X in (M, floats, fractions)]
@@ -175,10 +245,10 @@ def test_report_rows_are_read_only(rng):
     net, _ = balanced_integer_network(rng, 4)
     report = prove_fixed_proportion(build_rate_matrix(net).entries.tolist(), 0, 1)
     with pytest.raises(TypeError):
-        report.entries[0][1] = Fraction(7)
+        report.view.matrix[0][1] = 7
     with pytest.raises(TypeError):
-        report.entries[0] = (Fraction(0),) * 4
-    assert report.entries is exact_view(build_rate_matrix(net).entries.tolist()).entries
+        report.view.matrix[0] = (0,) * 4
+    assert report.view is exact_view(build_rate_matrix(net).entries.tolist())
 
 
 def test_certified_pairs_stay_within_their_component():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import exact_view_reference
+from exact_view_reference import cofactor_numerator, exact_entries
 from conftest import (
     balanced_integer_network,
     exact_pair_constant,
@@ -17,6 +18,7 @@ from conftest import (
 )
 
 from kinvar import (
+    BalanceError,
     NoReversiblePathError,
     Polynomial,
     all_transfer_functions_forest,
@@ -35,15 +37,10 @@ from kinvar import (
     transfer_function_forest,
 )
 from kinvar import linear
-from kinvar.laplace import (
-    _rate_map,
-    cofactor_numerator,
-    _scaled_det,
-    exact_entries,
-)
+from kinvar.laplace import _scaled_det, exact_generator, exact_view
 from kinvar.network import (
     CycleCondition,
-    balance_certificate,
+    balanced_rates,
     merged_rates,
     path_products,
     potentials,
@@ -419,9 +416,8 @@ def test_float_and_exact_paths_agree_on_balanced(seed, n, extra_edges, variant, 
     elif variant == "k_backward = 0":
         reactions[i] = dataclasses.replace(reactions[i], k_backward=0.0)
     M = build_rate_matrix(make_network(list(net.names), reactions))
-    E = exact_entries(M)
     float_balanced = linear._symmetric_form(M.entries)[0] is not None
-    assert float_balanced == (balance_certificate(len(E), _rate_map(E)).failure is None)
+    assert float_balanced == (exact_view(M).certificate.failure is None)
 
 
 def test_path_equilibrium_constant_chain():
@@ -454,6 +450,17 @@ def test_path_equilibrium_constant_sums_parallel_rates_exactly():
     assert K == shortest_path_constant(merged_rates(net, Fraction))
     float_sums = {e: Fraction(k) for e, k in merged_rates(net).items()}
     assert K != shortest_path_constant(float_sums)
+
+
+def test_path_equilibrium_constant_of_rational_rate_constants():
+    # rate constants with odd denominators are scaled by the lcm of their
+    # denominators, not by the largest power of two among them
+    net = first_order_network(list("ABC"), [("A", "B", Fraction(1, 3), Fraction(1, 2)),
+                                            ("B", "C", Fraction(2, 3), Fraction(1, 5))])
+    assert path_equilibrium_constant(net, 0, 1) == Fraction(2, 3)
+    assert path_equilibrium_constant(net, 0, 2) == Fraction(20, 9)
+    subject = exact_generator(net.n, merged_rates(net, Fraction))
+    assert prove_fixed_proportion(subject, 0, 2).K == Fraction(20, 9)
 
 
 def test_float_and_exact_cycle_verdicts_agree(rng):
@@ -570,22 +577,25 @@ def test_exact_balance_restores_cycle_condition():
     assert report.verified
 
 
-def test_exact_entries_preserves_float_rates():
+def test_exact_view_keeps_float_rates_at_their_binary_values():
     net = first_order_network(["A", "B"], [("A", "B", 0.1, 1.0)])
-    entries = exact_entries(build_rate_matrix(net))
+    view = exact_view(build_rate_matrix(net))
     # 0.1 is kept as the exact binary fraction actually simulated
-    assert entries[1][0] == Fraction(0.1)
-    assert entries[1][0] != Fraction(1, 10)
+    assert view.D == 2 ** 55
+    assert Fraction(view.matrix[1][0], view.D) == Fraction(0.1)
+    assert Fraction(view.matrix[1][0], view.D) != Fraction(1, 10)
+    assert view.rates == {(0, 1): view.matrix[1][0], (1, 0): view.D}
 
 
-def test_exact_entries_same_from_array_and_lists(rng):
+def test_exact_view_same_from_array_and_lists(rng):
     net, _ = balanced_integer_network(rng, 16, 4)
     M = build_rate_matrix(net)
     by_element = [[Fraction(float(x)) for x in row] for row in M.entries]
-    for entries in (exact_entries(M), exact_entries(M.entries),
-                    exact_entries(M.entries.tolist())):
-        assert entries == by_element
-        assert all(type(x) is Fraction for row in entries for x in row)
+    numpy_ints = [list(row) for row in M.entries.astype(np.int64)]  # integer rates
+    for X in (M, M.entries, M.entries.tolist(), by_element, numpy_ints):
+        view = exact_view(X)
+        assert [[Fraction(x, view.D) for x in row] for row in view.matrix] == by_element
+        assert all(type(x) is int for row in view.matrix for x in row)
 
 
 def test_exact_balance_of_butene_rewrites_the_non_tree_edge():
@@ -625,6 +635,20 @@ def test_exact_balance_keeps_balanced_and_repairs_perturbed_networks(rng):
             assert all(balanced[j][i] == before[j][i] for i, j in changed)
         np.testing.assert_allclose(np.array(after_float, dtype=float),
                                    np.array(after, dtype=float), rtol=1e-13)
+
+
+def test_float_and_exact_balance_refuse_an_irreversible_cycle():
+    # A <=> B <=> C closed by the irreversible C -> A; the drain of a chain
+    # closes no cycle and balances
+    cycle = first_order_network(list("ABC"), [("A", "B", 2.0, 1.0), ("B", "C", 1.0, 3.0),
+                                              ("C", "A", 1.0, 0.0)])
+    chain = first_order_network(list("ABC"), [("A", "B", 2.0, 1.0), ("B", "C", 1.0, 0.0)])
+    for balance in (balance_network, lambda net: exact_balance(build_rate_matrix(net)),
+                    lambda net: balanced_rates(net.n, merged_rates(net, Fraction))):
+        with pytest.raises(BalanceError, match="^cycle contains an irreversible step; "
+                                               "cannot balance$"):
+            balance(cycle)
+        balance(chain)
 
 
 def test_float_and_exact_balance_give_butene_the_same_constants():

@@ -18,6 +18,7 @@ import pytest
 import prove_reference
 from conftest import (
     balanced_integer_network,
+    benchmark_networks,
     parallel_path_network,
     perturbed_network,
     reversibly_connected_pairs,
@@ -26,12 +27,11 @@ from kinvar import (
     butene_cycle,
     first_order_network,
     path_equilibrium_constant,
-    prove_fixed_proportion,
     save_network,
     transfer_function_cofactor,
     transfer_function_forest,
 )
-from kinvar.cli import _prove_all_pairs, main
+from kinvar.cli import main
 from kinvar.laplace import exact_balance, exact_generator
 from kinvar.network import merged_rates, rate_entries
 
@@ -63,29 +63,32 @@ def _prove(tmp_path, net, argv):
     return rc, json.loads(written[0].read_text()) if written else None
 
 
-def _reference_pair(net, names, balance):
-    """Exit code and ``proof.json`` payload of the float matrix's proof."""
-    subject = prove_reference.float_subject(net, balance)
-    report = prove_fixed_proportion(subject, *map(net.index_of, names))
-    payload = report.to_dict()
-    payload["pair"] = list(names)
-    payload["balanced"] = balance
-    return 0 if report.verified else 1, payload
-
-
 @pytest.mark.parametrize("net", [butene_cycle(), *_seeded_networks()],
                          ids=["butene", *(f"seeded-{n}" for n in range(3, 9))])
 def test_proofs_equal_the_float_matrix_without_parallel_reactions(tmp_path, capsys, net):
     assert not _has_parallel_reactions(net)
     for balance in (False, True):
         flag = ["--balance"] if balance else []
-        rc, proofs = _prove(tmp_path, net, ["--all-pairs", *flag])
-        ref = tmp_path / "ref"
-        ref_rc = _prove_all_pairs(net, prove_reference.float_subject(net, balance), balance, ref)
-        assert (rc, proofs) == (ref_rc, json.loads((ref / "proofs.json").read_text()))
+        assert _prove(tmp_path, net, ["--all-pairs", *flag]) == \
+            prove_reference.proofs(net, balance)
         for names in itertools.permutations(net.names, 2):
             assert _prove(tmp_path, net, ["--pair", ",".join(names), *flag]) == \
-                _reference_pair(net, names, balance)
+                prove_reference.proof(net, names, balance)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("seed", [21, 41, 42])
+def test_proofs_of_the_benchmark_networks_equal_the_float_matrix(tmp_path, capsys, seed):
+    # every network of the exact-proof workload at once, and three pairs of each
+    for net in benchmark_networks(seed):
+        for balance in (False, True):
+            flag = ["--balance"] if balance else []
+            assert _prove(tmp_path, net, ["--all-pairs", *flag]) == \
+                prove_reference.proofs(net, balance)
+            names = net.names
+            for pair in ((names[0], names[1]), (names[-1], names[0]), (names[1], names[-2])):
+                assert _prove(tmp_path, net, ["--pair", ",".join(pair), *flag]) == \
+                    prove_reference.proof(net, pair, balance)
     capsys.readouterr()
 
 
