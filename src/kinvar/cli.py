@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import re
 import sys
@@ -55,6 +56,8 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
+
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING")
 
 _INPUT_ERRORS = (
     ConfigError,
@@ -215,9 +218,13 @@ def cmd_invariants(args) -> int:
             spec = resolve_expected_K(net, req.kind, pa, pb)
         reports.append(evaluate_invariant(dual, spec, tol=tol))
 
+    # whether the exact detailed-balance certificate holds, so that a float
+    # verdict that contradicts the exact proof shows in the file and on stdout
+    certificate = (first_order_view(net).certificate.failure is None
+                   if net.order_kind == ORDER_FIRST else None)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"engine": engine, "tol": tol,
-               "reports": [r.to_dict() for r in reports]}
+               "reports": [dict(r.to_dict(), certificate=certificate) for r in reports]}
     _write_json(out_dir / "invariants.json", payload)
     ok = all(r.verdict for r in reports)
     for r in reports:
@@ -225,6 +232,9 @@ def cmd_invariants(args) -> int:
         print(f"{state} {r.spec.kind} {sc.experiment.a}->{sc.experiment.b} "
               f"pair={r.spec.pair} K={r.spec.expected_K:.12g} "
               f"max_dev={r.max_rel_deviation:.3e}")
+        if certificate and not r.verdict:
+            print(f"  the exact proof holds: detailed balance is certified, so "
+                  f"{sc.experiment.a} and {sc.experiment.b} stay in fixed proportion")
     return EXIT_OK if ok else EXIT_FAILED
 
 
@@ -369,6 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dual-experiment kinetics: simulate reaction networks, "
                     "evaluate time-invariant ratios, and prove them exactly.",
     )
+    parser.add_argument("--log-level", metavar="{" + ",".join(_LOG_LEVELS) + "}",
+                        help="log kinvar's diagnostics at this level to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -432,6 +444,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    logger, handler = logging.getLogger("kinvar"), None
+    if args.log_level is not None:
+        if args.log_level not in _LOG_LEVELS:
+            print(f"error: --log-level must be one of {', '.join(_LOG_LEVELS)}, "
+                  f"got {args.log_level!r}", file=sys.stderr)
+            return EXIT_INPUT
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        logger.addHandler(handler)
+        logger.setLevel(args.log_level)
     try:
         if getattr(args, "dump_config", False):
             # simulate and invariants: print the resolved scenario and stop
@@ -447,6 +469,10 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if handler is not None:
+            logger.removeHandler(handler)
+            logger.setLevel(logging.NOTSET)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import numpy as np
 from . import _kernels
 from .errors import ConservationError, IntegrationError
 from .network import ReactionNetwork, conservation_vector, pack_network, validate_network
-from .trajectory import DualExperiment, IntegratorStats, Trajectory, check_grid, frozen_grid
+from .trajectory import DualExperiment, IntegratorStats, Trajectory, check_grid
 
 log = logging.getLogger(__name__)
 
@@ -60,7 +60,7 @@ def integrate(
         raise ValueError("initial concentrations must be finite")
     if np.any(c0 < 0):
         raise ValueError("initial concentrations must be nonnegative")
-    check_grid(times)
+    times = check_grid(times)
     status, t_stop, values, counts = _kernels.integrate_dp54(
         pack_network(net), c0, times, cfg.rel_tol, cfg.abs_tol)
     stats = IntegratorStats(*counts)
@@ -129,12 +129,10 @@ def dual_experiment_nonlinear(
     if times is None:
         raise ValueError("a time grid is required")
     a0, b0, total = primed_amounts(net, conservation_vector(net), a, b, a0, b0)
-    times = frozen_grid(times)  # one copy, kept by both runs
     c0a = np.zeros(net.n)
     c0a[a] = a0
     c0b = np.zeros(net.n)
     c0b[b] = b0
-    names = net.names
-    from_a = integrate(net, c0a, times, cfg, f"from {names[a]}")
-    from_b = integrate(net, c0b, times, cfg, f"from {names[b]}")
+    from_a = integrate(net, c0a, times, cfg, f"from {net.names[a]}")
+    from_b = integrate(net, c0b, from_a.times, cfg, f"from {net.names[b]}")
     return DualExperiment(from_a, from_b, a, b, conserved_total=total)

@@ -142,15 +142,16 @@ def evaluate_invariant(
     den = dual.from_a.species(a) * a_b if nu_a == 2 else a_b
 
     usable = (times > 0.0) & (den >= denom_floor)
-    excluded = int(np.sum(~usable))
-    if not np.any(usable):
+    kept = int(np.count_nonzero(usable))
+    if not kept:
         raise DegenerateExperimentError(
             f"all {len(times)} grid points excluded for {spec.kind} on pair "
             f"({a}, {b})"
         )
     t_used = times[usable]
     ratios = num[usable] / den[usable]
-    max_dev = float(np.max(np.abs(ratios / spec.expected_K - 1.0)))
+    deviation = ratios / spec.expected_K  # |ratio / K - 1|, in place
+    max_dev = float(np.abs(np.subtract(deviation, 1.0, out=deviation), out=deviation).max())
 
     try:  # first-order kinds on a dual that carries its network
         limit = ratio_limit_at_zero(dual, spec)
@@ -164,7 +165,7 @@ def evaluate_invariant(
         ratios=ratios,
         max_rel_deviation=max_dev,
         limit_at_zero=limit,
-        excluded_points=excluded,
+        excluded_points=len(times) - kept,
         tol=tol,
         verdict=max_dev <= tol,
     )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import MultipleEquilibriaError
 from .network import ReactionNetwork, first_order_view, potentials
-from .trajectory import DualExperiment, Trajectory, check_grid, frozen_grid, geometric_grid
+from .trajectory import DualExperiment, Trajectory, check_grid, geometric_grid
 
 log = logging.getLogger(__name__)
 
@@ -349,7 +349,7 @@ def simulate_linear(
     times = np.asarray(times, dtype=float)
     if c0.shape != (M.n,):
         raise ValueError(f"initial state has shape {c0.shape}, expected ({M.n},)")
-    check_grid(times)
+    times = check_grid(times)
     conc = _propagators(M, times, c0[:, None])[0]
     conc[0] = c0  # exp(0) = I, exactly
     init = int(np.argmax(c0))
@@ -367,8 +367,7 @@ def dual_experiment(
     """
     if a == b:
         raise ValueError("dual experiment needs two distinct species")
-    times = frozen_grid(times)  # one copy, kept by both runs
-    check_grid(times)
+    times = check_grid(times)  # one copy, kept by both runs
     M = first_order_view(net).rate_matrix
     C0 = np.zeros((net.n, 2))
     C0[a, 0] = C0[b, 1] = 1.0

@@ -85,7 +85,7 @@ class ReactionNetwork:
     def n(self) -> int:
         return len(self.species)
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.species)
 

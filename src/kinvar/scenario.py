@@ -4,7 +4,9 @@ A scenario names a network (inline or as a file), the experiment pair and its
 priming amounts, an optional time grid, the invariants to evaluate, the engine
 and the balance mode. ``kinvar simulate`` and ``kinvar invariants`` parse and
 run scenarios here; this module loads numpy and the numeric modules, which
-``kinvar prove`` and ``kinvar balance`` never import.
+``kinvar prove`` and ``kinvar balance`` never import. The closed forms and the
+integrator are imported where their engines run, so a first-order run never
+loads them.
 """
 
 from __future__ import annotations
@@ -18,14 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .closed_forms import (
-    nonlinear_2A_B,
-    nonlinear_2A_2B,
-    single_reversible,
-    two_step_concentrations,
-)
 from .errors import ConfigError, ConservationError
-from .integrate import dual_experiment_nonlinear, primed_amounts
 from .invariants import kind_reaction
 from .linear import build_rate_matrix, default_time_grid, dual_experiment
 from .network import (
@@ -38,7 +33,7 @@ from .network import (
     network_from_dict,
     network_to_dict,
 )
-from .trajectory import DualExperiment, Trajectory, frozen_grid, geometric_grid
+from .trajectory import DualExperiment, Trajectory, check_grid, geometric_grid
 
 # largest grid a scenario or --grid may ask for; 250 times the default 400
 # points, and a 200-species trajectory on it already takes 160 MB
@@ -142,6 +137,8 @@ def parse_scenario(data: dict, base_dir: Path = Path(".")) -> Scenario:
     experiment = ExperimentSpec(exp["a"], exp["b"], a0, b0)
     if experiment.a0 is not None or experiment.b0 is not None:
         # mismatched amounts are a scenario error, caught before any run
+        from .integrate import primed_amounts
+
         w = conservation_vector(net)
         try:
             primed_amounts(net, w, net.index_of(exp["a"]), net.index_of(exp["b"]),
@@ -264,24 +261,25 @@ def _default_times(net: ReactionNetwork, points: int = 400) -> np.ndarray:
     return GridSpec(10.0 / min(rates), points, "geometric").times()
 
 
-# closed form of a lone reaction u (cu) <=> v (cv) on two species, keyed by
-# the (cu, cv) = (νa, νb) of the invariant kind whose reaction it solves
-_TWO_SPECIES_FORMS = {kind_reaction(kind): form for kind, form in (
-    ("linear_ratio", single_reversible), ("nonlinear_2A_B", nonlinear_2A_B),
-    ("nonlinear_2A_2B", nonlinear_2A_2B))}
-
-
 def _closed_form_dual(net: ReactionNetwork, a: int, b: int,
                       times: np.ndarray) -> DualExperiment:
     """Dual experiment from an analytic solution, if one fits the network.
 
     The network must hold one reversible reaction ``u (cu) <=> v (cv)`` with
     one species a side. On two species and no other reaction, ``(cu, cv)``
-    picks A <-> B, 2A <-> B or 2A <-> 2B from ``_TWO_SPECIES_FORMS``; on three
-    species joined by first-order steps, one more irreversible step
-    ``v -> w`` gives the chain A <-> B -> C. The experiment pair must be
-    ``(u, v)``, the reactant side of the formulas first.
+    picks A <-> B, 2A <-> B or 2A <-> 2B; on three species joined by
+    first-order steps, one more irreversible step ``v -> w`` gives the chain
+    A <-> B -> C. The experiment pair must be ``(u, v)``, the reactant side of
+    the formulas first.
     """
+    from .closed_forms import (nonlinear_2A_B, nonlinear_2A_2B, single_reversible,
+                               two_step_concentrations)
+
+    # closed form of a lone reaction u (cu) <=> v (cv) on two species, keyed by
+    # the (cu, cv) = (νa, νb) of the invariant kind whose reaction it solves
+    two_species_forms = {kind_reaction(kind): form for kind, form in (
+        ("linear_ratio", single_reversible), ("nonlinear_2A_B", nonlinear_2A_B),
+        ("nonlinear_2A_2B", nonlinear_2A_2B))}
     rev = [r for r in net.reactions if r.reversible]
     irr = [r for r in net.reactions if not r.reversible]
     cols = None
@@ -289,7 +287,7 @@ def _closed_form_dual(net: ReactionNetwork, a: int, b: int,
         (u, cu), = rev[0].reactants
         (v, cv), = rev[0].products
         kp, km = rev[0].k_forward, rev[0].k_backward
-        form = _TWO_SPECIES_FORMS.get((cu, cv))
+        form = two_species_forms.get((cu, cv))
         if net.n == 2 and not irr and form is not None:
             sol = form(kp, km, times)
             # 2A <-> B primed with B keeps a + 2b = 1
@@ -306,7 +304,7 @@ def _closed_form_dual(net: ReactionNetwork, a: int, b: int,
     if (a, b) != (u, v):
         raise ConfigError("closed-form engine expects the experiment pair in the "
                           "reactant -> product orientation")
-    times = frozen_grid(times)  # one copy, kept by both runs
+    times = check_grid(times)  # one copy, kept by both runs
     runs = [Trajectory(times, np.column_stack([np.broadcast_to(cols[i][k], times.shape)
                                                for i in sorted(cols)]),
                        s, f"from {net.names[s]}", net)
@@ -321,6 +319,8 @@ def _run_dual(net: ReactionNetwork, engine: str, a: int, b: int,
         return dual_experiment(net, a, b, times)
     if engine == "closed-form":
         return _closed_form_dual(net, a, b, times)
+    from .integrate import dual_experiment_nonlinear
+
     return dual_experiment_nonlinear(net, a, b, exp.a0, exp.b0, times)
 
 

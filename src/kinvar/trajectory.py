@@ -9,15 +9,17 @@ import numpy as np
 from .network import ReactionNetwork
 
 
-def check_grid(times: np.ndarray) -> None:
-    """Reject a simulation grid that is not 1-D, starting at 0 and strictly increasing.
+def check_grid(times) -> np.ndarray:
+    """``times`` as :func:`frozen_grid` keeps it, if 1-D, starting at 0 and strictly increasing.
 
     The engines call this before any work, so a bad grid fails fast.
     """
+    times = frozen_grid(times)
     if times.ndim != 1 or times.size < 1 or times[0] != 0.0:
         raise ValueError("time grid must start at 0")
     if np.any(np.diff(times) <= 0):
         raise ValueError("time grid must be strictly increasing")
+    return times
 
 
 def frozen_grid(times) -> np.ndarray:
@@ -60,12 +62,11 @@ class Trajectory:
     """Concentrations on a time grid for one initial condition.
 
     ``initial_species`` is the primed substance; ``label`` is a display tag
-    such as ``"from A"``.  When the trajectory came from a network simulation,
-    ``network`` keeps a reference so downstream reports can resolve species
-    names and equilibria.  ``times`` is kept as a read-only copy
-    (:func:`frozen_grid`).  ``stats`` holds the integrator's step counts when
-    the adaptive integrator produced the trajectory; it takes no part in
-    comparisons.
+    such as ``"from A"``.  ``network``, when a network simulation made the
+    trajectory, lets reports resolve species names and equilibria.  ``times``
+    is a read-only copy (:func:`frozen_grid`), checked unless frozen already.
+    ``stats`` holds the adaptive integrator's step counts when it made the
+    trajectory; it takes no part in comparisons.
     """
 
     times: np.ndarray
@@ -80,7 +81,7 @@ class Trajectory:
         c = np.asarray(self.concentrations, dtype=float)
         if c.shape[0] != t.shape[0]:
             raise ValueError("times and concentration rows disagree")
-        if np.any(np.diff(t) <= 0):
+        if t is not self.times and np.any(np.diff(t) <= 0):
             raise ValueError("time grid must be strictly increasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "concentrations", c)
@@ -105,7 +106,8 @@ class DualExperiment:
     conserved_total: float | None = None
 
     def __post_init__(self):
-        if not np.array_equal(self.from_a.times, self.from_b.times):
+        a, b = self.from_a.times, self.from_b.times
+        if a is not b and not np.array_equal(a, b):
             raise ValueError("dual trajectories must share the time grid")
 
     @property

@@ -62,8 +62,8 @@ def perturbed_network(rng, net):
     )
 
 
-def benchmark_networks(seed):
-    """The seeded balanced networks of the benchmark's exact-proof workload."""
+def benchmark_networks(seed, workload="exact-proof"):
+    """The seeded networks of one benchmark workload, balanced ones for exact-proof."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tasks.py"
     spec = importlib.util.spec_from_file_location("perfbench_tasks", path)
     module = sys.modules.get(spec.name)
@@ -71,7 +71,7 @@ def benchmark_networks(seed):
         module = importlib.util.module_from_spec(spec)
         sys.modules[spec.name] = module  # dataclasses look their module up
         spec.loader.exec_module(module)
-    return module.build("exact-proof", seed).networks
+    return module.build(workload, seed).networks
 
 
 def parallel_path_network():

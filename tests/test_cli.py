@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import balanced_integer_network
+from conftest import balanced_integer_network, benchmark_networks
 from kinvar import butene_cycle, first_order_network, save_network
 from kinvar.cli import _stats_json, main
 from kinvar.scenario import load_scenario, parse_scenario, run_scenario
@@ -1023,3 +1023,79 @@ def test_dp5_numerical_faults_exit_3_in_one_line(tmp_path, k_forward, k_backward
     assert proc.returncode == 3
     assert proc.stderr.startswith(message)
     assert proc.stderr.count("\n") == 1
+
+
+def test_log_level_sends_the_diagnostics_to_stderr(tmp_path, capsys):
+    cfg = _write_scenario(tmp_path)
+    assert main(["invariants", "--config", str(cfg), "--out", str(tmp_path / "plain")]) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert main(["--log-level", "DEBUG", "invariants", "--config", str(cfg),
+                 "--out", str(tmp_path / "debug")]) == 0
+    debug = capsys.readouterr()
+    assert debug.out == plain.out
+    assert "DEBUG kinvar.linear: propagator eigh: detailed balance holds" in debug.err
+    assert ((tmp_path / "debug" / "invariants.json").read_bytes()
+            == (tmp_path / "plain" / "invariants.json").read_bytes())
+    # the handler goes when the command ends, so later runs log nothing
+    assert logging.getLogger("kinvar").handlers == []
+    assert main(["--log-level", "INFO", "invariants", "--config", str(cfg),
+                 "--out", str(tmp_path / "info")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_unknown_log_level_exits_2_with_one_line(tmp_path, capsys):
+    cfg = _write_scenario(tmp_path)
+    assert main(["--log-level", "TRACE", "invariants", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --log-level must be one of DEBUG, INFO, WARNING, "
+                            "got 'TRACE'\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_invariants_shows_when_the_float_verdict_contradicts_the_exact_proof(tmp_path, capsys):
+    # early grid points of the eigen-sum cancel to entries near 1e-8, so the
+    # float verdict fails on a network whose exact certificate holds
+    save_network(benchmark_networks(21, "linear-verify")[0], tmp_path / "n10.json")
+    cfg = tmp_path / "scn.json"
+    cfg.write_text(json.dumps({"network_file": "n10.json",
+                               "experiment": {"a": "S0", "b": "S1"},
+                               "invariants": [{"kind": "linear_ratio", "pair": ["S0", "S1"]}]}))
+    assert main(["invariants", "--config", str(cfg), "--out", str(tmp_path / "i")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL linear_ratio S0->S1 pair=(0, 1) K=2.5 max_dev=8.181e-06",
+        "  the exact proof holds: detailed balance is certified, so S0 and S1 stay "
+        "in fixed proportion"]
+    report, = json.loads((tmp_path / "i" / "invariants.json").read_text())["reports"]
+    assert report["certificate"] is True and report["verdict"] is False
+    assert main(["prove", "--config", str(tmp_path / "n10.json"), "--pair", "S0,S1",
+                 "--out", str(tmp_path / "p")]) == 0
+    assert capsys.readouterr().out == "verified: S0->S1 fixed proportion K = 5/2 (exact)\n"
+
+
+@pytest.mark.parametrize("network, kind, certificate", [
+    ("butene", "linear_ratio", False), ("2A<=>B", "nonlinear_2A_B", None)])
+def test_invariants_certificate_is_false_unbalanced_and_null_off_first_order(
+        tmp_path, capsys, network, kind, certificate):
+    if network == "butene":
+        cfg = _butene_scenario(tmp_path)
+        argv = ["--tol", "1e-12"]
+    else:
+        species, reactions = _CLOSED_FORM_SHAPES[network]
+        cfg = _write_scenario(tmp_path, network={"species": species, "reactions": reactions},
+                              invariants=[{"kind": kind, "pair": ["A", "B"]}], grid=None)
+        argv = []
+    main(["invariants", "--config", str(cfg), "--out", str(tmp_path / "i")] + argv)
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    report, = json.loads((tmp_path / "i" / "invariants.json").read_text())["reports"]
+    assert report["certificate"] is certificate
+
+
+def test_first_order_invariants_never_imports_the_other_engines(tmp_path):
+    # the closed forms and the integrator load only where their engines run
+    modules = _modules_after(["invariants", "--config", str(_write_scenario(tmp_path)),
+                              "--out", str(tmp_path / "o")])
+    assert not {"kinvar.closed_forms", "kinvar.integrate", "kinvar._kernels"} & modules
+    assert "kinvar.linear" in modules
