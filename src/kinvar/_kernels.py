@@ -23,11 +23,11 @@ a numpy scalar, and list comprehensions over ``zip`` pay the interpreter's
 per-element overhead several times over on two or three entries.
 
 Grid rows are not interpolated inside the loop. An accepted step that
-reaches one or more grid times appends its record ``t, h, y, w, k0 ... k6``
-to a flat list and moves past those times with comparisons only; after the
-loop, :func:`_place_rows` evaluates the quartic continuous extension
-(Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.6) for every row in one
-numpy pass, each grid time on the first recorded step whose reach covers it.
+reaches one or more grid times packs its record ``t, h, y, w, k0 ... k6``
+as doubles into a ``bytearray`` and passes those times by comparisons
+alone; after the loop, :func:`_place_rows` evaluates the quartic continuous
+extension (Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.6) for every
+row in one numpy pass, each grid time on the first step that covers it.
 
 Compile memory grows with the length of a unit, so the fused loop is used
 only when its source fits :data:`_SOURCE_BUDGET`. The fused loop of two

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DegenerateExperimentError
 from .laplace import path_equilibrium_constant
 from .linear import build_rate_matrix, equilibrium_composition
-from .network import ReactionNetwork, first_order_view
+from .network import ORDER_FIRST, ReactionNetwork, first_order_view
 from .trajectory import DualExperiment, Trajectory
 
 # kind -> (νa, νb) of the reaction νa A <=> νb B whose K its ratio equals
@@ -176,35 +176,28 @@ def ratio_limit_at_zero(dual: DualExperiment, spec: InvariantSpec) -> float:
 
     At t = 0 the ratio itself is 0/0; one l'Hopital step replaces it with the
     production rate of b in the a-primed run over the production rate of a in
-    the b-primed run, both from the initial concentrations.
+    the b-primed run. Each run starts from one pure species ``p``, so the
+    initial rate of species ``s`` in it is the rate-matrix entry ``M[s, p]``
+    times ``c_p(0)``: ``M[b, a] c_a(0)`` over ``M[a, b] c_b(0)`` for runs
+    primed with ``a`` and ``b``.
     """
     if KINDS[spec.kind] != (1, 1):
         raise ValueError("the t->0 limit applies to first-order ratio kinds")
     net = dual.network
     if net is None:
         raise ValueError("dual experiment carries no network reference")
+    if net.order_kind != ORDER_FIRST:
+        raise ValueError("the t->0 limit needs an all-first-order network")
     a, b = spec.pair
-    rate_b = _initial_rate(net, dual.from_a.concentrations[0].tolist(), b)
-    rate_a = _initial_rate(net, dual.from_b.concentrations[0].tolist(), a)
+    pa, pb = dual.species_a, dual.species_b
+    entry = first_order_view(net).entries.get  # M[i, j] at key (i, j), if nonzero
+    rate_b = entry((b, pa), 0.0) * dual.from_a.concentrations.item(0, pa)
+    rate_a = entry((a, pb), 0.0) * dual.from_b.concentrations.item(0, pb)
     if rate_a == 0.0:
         raise ZeroDivisionError(
             "zero initial production rate in the denominator experiment"
         )
     return rate_b / rate_a
-
-
-def _initial_rate(net: ReactionNetwork, c: list, s: int) -> float:
-    """``dc_s/dt`` of a first-order network at concentrations ``c``.
-
-    Each reaction direction that feeds or drains ``s`` adds or subtracts its
-    flux ``k c_source``, from ``0.0`` in reaction order, the sum the
-    mass-action right-hand side forms for ``s``. The directions come from the
-    network's :func:`~kinvar.network.first_order_view`.
-    """
-    rate = 0.0
-    for k, src in first_order_view(net).directions[s]:
-        rate += k * c[src]
-    return rate
 
 
 @dataclass(frozen=True)

@@ -647,27 +647,6 @@ class FirstOrderView:
         return M
 
     @cached_property
-    def directions(self) -> tuple:
-        """Per species, ``(k, source)`` of each reaction direction that changes it.
-
-        In reaction order, forward before backward, each direction ``u -> v``
-        of rate ``k`` appears under ``v`` as ``(k, u)`` and under ``u`` as
-        ``(-k, u)``, so ``dc_s/dt`` sums ``k * c[source]`` over ``s``'s list:
-        adding ``(-k) * c`` rounds exactly as subtracting ``k * c`` does.
-        """
-        out: list[list] = [[] for _ in self.net.species]
-        for rxn in self.net.reactions:
-            if not rxn.first_order:
-                raise ValueError("reaction directions need an all-first-order network")
-            u, v = _edge_endpoints(rxn)
-            steps = ((rxn.k_forward, u, v), (rxn.k_backward, v, u))
-            for k, src, dst in steps if rxn.reversible else steps[:1]:
-                out[dst].append((k, src))
-                if src != dst:
-                    out[src].append((-k, src))
-        return tuple(map(tuple, out))
-
-    @cached_property
     def exact_rates(self) -> dict[tuple[int, int], int]:
         """The :func:`merged_rates` summed exactly, as Fractions would be, in integers.
 

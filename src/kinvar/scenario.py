@@ -275,6 +275,7 @@ def _closed_form_dual(net: ReactionNetwork, a: int, b: int,
     from .closed_forms import (nonlinear_2A_B, nonlinear_2A_2B, single_reversible,
                                two_step_concentrations)
 
+    times = check_grid(times)  # one copy, kept by both runs
     # closed form of a lone reaction u (cu) <=> v (cv) on two species, keyed by
     # the (cu, cv) = (νa, νb) of the invariant kind whose reaction it solves
     two_species_forms = {kind_reaction(kind): form for kind, form in (
@@ -304,7 +305,6 @@ def _closed_form_dual(net: ReactionNetwork, a: int, b: int,
     if (a, b) != (u, v):
         raise ConfigError("closed-form engine expects the experiment pair in the "
                           "reactant -> product orientation")
-    times = check_grid(times)  # one copy, kept by both runs
     runs = [Trajectory(times, np.column_stack([np.broadcast_to(cols[i][k], times.shape)
                                                for i in sorted(cols)]),
                        s, f"from {net.names[s]}", net)

@@ -10,7 +10,7 @@ from .network import ReactionNetwork
 
 
 def check_grid(times) -> np.ndarray:
-    """``times`` as :func:`frozen_grid` keeps it, if 1-D, starting at 0 and strictly increasing.
+    """``times`` as :func:`frozen_grid` keeps it, if 1-D, finite, from 0 and strictly increasing.
 
     The engines call this before any work, so a bad grid fails fast.
     """
@@ -19,6 +19,8 @@ def check_grid(times) -> np.ndarray:
         raise ValueError("time grid must start at 0")
     if np.any(np.diff(times) <= 0):
         raise ValueError("time grid must be strictly increasing")
+    if not np.isfinite(times).all():  # a NaN passes both tests above
+        raise ValueError("time grid must be finite")
     return times
 
 

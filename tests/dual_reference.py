@@ -5,7 +5,8 @@ They are kept as the references that the program's answers must equal bit
 for bit: ``dual_experiment`` froze the grid and then checked it, each run
 checked the grid's strict increase again, the dual compared the two runs'
 grids with ``array_equal``, and ``evaluate_invariant`` masked, counted and
-reduced in separate numpy passes. The propagation itself is the program's.
+reduced in separate numpy passes. The t -> 0 limit is the reaction loop of
+``kinds_reference``; the propagation itself is the program's.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from kinds_reference import ratio_limit_at_zero
 from kinvar.errors import DegenerateExperimentError
-from kinvar.invariants import KINDS, InvariantReport, ratio_limit_at_zero
+from kinvar.invariants import KINDS, InvariantReport
 from kinvar.linear import _propagators
 from kinvar.network import first_order_view
 

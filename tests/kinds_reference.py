@@ -3,20 +3,22 @@
 They are kept as the references that the table's answers must equal exactly:
 ``evaluate_invariant`` chose each kind's ratio in three branches, and
 ``resolve_expected_K`` searched for ``2a <=> b`` or ``2a <=> 2b`` by guessing
-the product coefficient from the kind's name.
+the product coefficient from the kind's name. ``ratio_limit_at_zero`` sums
+each species' initial rate reaction by reaction, through
+``view_reference.initial_rate``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from view_reference import initial_rate
 from kinvar.errors import DegenerateExperimentError
 from kinvar.invariants import (
     DEFAULT_TOL,
     DENOM_FLOOR,
     InvariantReport,
     InvariantSpec,
-    _initial_rate,
     path_equilibrium_constant,
 )
 
@@ -105,8 +107,8 @@ def ratio_limit_at_zero(dual, spec: InvariantSpec) -> float:
     if net is None:
         raise ValueError("dual experiment carries no network reference")
     a, b = spec.pair
-    rate_b = _initial_rate(net, dual.from_a.concentrations[0].tolist(), b)
-    rate_a = _initial_rate(net, dual.from_b.concentrations[0].tolist(), a)
+    rate_b = initial_rate(net, dual.from_a.concentrations[0].tolist(), b)
+    rate_a = initial_rate(net, dual.from_b.concentrations[0].tolist(), a)
     if rate_a == 0.0:
         raise ZeroDivisionError(
             "zero initial production rate in the denominator experiment"

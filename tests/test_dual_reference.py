@@ -24,8 +24,9 @@ from kinvar import (
     simulate_linear,
     Reaction,
 )
-from kinvar import _kernels, linear
+from kinvar import _kernels, closed_forms, linear
 from kinvar.errors import NoReversiblePathError
+from kinvar.scenario import _closed_form_dual
 from kinvar.trajectory import DualExperiment, Trajectory
 
 
@@ -138,22 +139,43 @@ def _message(call) -> str:
     return str(caught.value)
 
 
-@pytest.mark.parametrize("times", _BAD_GRIDS, ids=range(len(_BAD_GRIDS)))
-def test_bad_grids_give_their_messages_before_any_propagation(monkeypatch, times):
+_AB = first_order_network(["A", "B"], [("A", "B", 2.0, 1.0)])
+_DIMER = make_network(["A", "B"], [Reaction(((0, 2),), ((1, 1),), 2.0, 1.0)])
+
+
+def _engine_calls(monkeypatch, times):
+    """Each engine on ``times``: the linear dual, a single linear run, the
+    nonlinear run and dual, and the closed-form dual, none of which may
+    propagate, integrate or evaluate a closed form."""
     def unreachable(*args):
         raise AssertionError("ran on a bad grid")
 
-    net = first_order_network(["A", "B"], [("A", "B", 2.0, 1.0)])
-    dimer = make_network(["A", "B"], [Reaction(((0, 2),), ((1, 1),), 2.0, 1.0)])
-    expected = _message(lambda: R.dual_experiment(net, 0, 1, times))
-    assert expected.startswith("time grid must")
     monkeypatch.setattr(linear, "_propagators", unreachable)
     monkeypatch.setattr(_kernels, "integrate_dp54", unreachable)
-    calls = [lambda: dual_experiment(net, 0, 1, times),
-             lambda: simulate_linear(build_rate_matrix(net), [1.0, 0.0], times),
-             lambda: integrate(dimer, [1.0, 0.0], times),
-             lambda: dual_experiment_nonlinear(dimer, 0, 1, times=times)]
-    assert [_message(call) for call in calls] == [expected] * len(calls)
+    for form in ("single_reversible", "nonlinear_2A_B"):
+        monkeypatch.setattr(closed_forms, form, unreachable)
+    return [lambda: dual_experiment(_AB, 0, 1, times),
+            lambda: simulate_linear(build_rate_matrix(_AB), [1.0, 0.0], times),
+            lambda: integrate(_DIMER, [1.0, 0.0], times),
+            lambda: dual_experiment_nonlinear(_DIMER, 0, 1, times=times),
+            lambda: _closed_form_dual(_AB, 0, 1, times),
+            lambda: _closed_form_dual(_DIMER, 0, 1, times)]
+
+
+@pytest.mark.parametrize("times", _BAD_GRIDS, ids=range(len(_BAD_GRIDS)))
+def test_bad_grids_give_their_messages_before_any_propagation(monkeypatch, times):
+    expected = _message(lambda: R.dual_experiment(_AB, 0, 1, times))
+    assert expected.startswith("time grid must")
+    assert [_message(call) for call in _engine_calls(monkeypatch, times)] == [expected] * 6
+
+
+@pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [0.0, np.inf],
+                                   [0.0, 1.0, np.inf, np.nan], _read_only([0.0, np.nan])],
+                         ids=["nan", "inf", "only-inf", "inf-nan", "read-only-nan"])
+def test_non_finite_grids_fail_in_every_engine(monkeypatch, times):
+    # the reference accepts each of these grids; the program names the fault
+    assert [_message(call) for call in _engine_calls(monkeypatch, times)] == \
+        ["time grid must be finite"] * 6
 
 
 @pytest.mark.parametrize("times, rows", [

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ from kinvar import (
 )
 from kinvar._kernels import rhs_packed
 from kinvar.network import pack_network
-from kinvar.trajectory import DualExperiment, Trajectory
 
 
 def _grid(t_max=5.0, points=60):
@@ -145,21 +146,20 @@ def test_ratio_limit_at_zero_is_the_rhs_quotient(rng):
 
 
 def test_ratio_limit_at_zero_matches_the_packed_rhs_bit_for_bit():
-    # parallel reactions feed and drain both species; from any initial state
-    # the limit sums the same terms in the same order as the packed kernel
+    # parallel reactions feed and drain every species; from pure unit priming
+    # the limit rounds as the packed kernel's initial rates do
     net = parallel_path_network()
     terms = pack_network(net)
-    rng = np.random.default_rng(5)
-    duals = [dual_experiment(net, 0, 1, _grid())]
-    for _ in range(5):
-        conc = rng.uniform(0.0, 1.0, (2, len(_grid()), net.n))
-        duals.append(DualExperiment(Trajectory(_grid(), conc[0], 0, "", net),
-                                    Trajectory(_grid(), conc[1], 1, "", net), 0, 1))
-    spec = resolve_expected_K(net, "linear_ratio", 0, 1)
-    for dual in duals:
-        rate_b = rhs_packed(dual.from_a.concentrations[0].tolist(), terms, net.n)[1]
-        rate_a = rhs_packed(dual.from_b.concentrations[0].tolist(), terms, net.n)[0]
-        assert ratio_limit_at_zero(dual, spec) == rate_b / rate_a
+    for a, b in itertools.permutations(range(net.n), 2):
+        dual = dual_experiment(net, a, b, _grid())
+        spec = resolve_expected_K(net, "linear_ratio", a, b)
+        rate_b = rhs_packed(dual.from_a.concentrations[0].tolist(), terms, net.n)[b]
+        rate_a = rhs_packed(dual.from_b.concentrations[0].tolist(), terms, net.n)[a]
+        if rate_a == 0.0:  # a and b are not neighbours
+            with pytest.raises(ZeroDivisionError):
+                ratio_limit_at_zero(dual, spec)
+        else:
+            assert ratio_limit_at_zero(dual, spec) == rate_b / rate_a
 
 
 def test_ratio_limit_at_zero_needs_direct_feed():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kinds_reference
 import view_reference
 from conftest import (
     balanced_integer_network,
@@ -18,6 +19,7 @@ from conftest import (
     perturbed_network,
 )
 from kinvar import (
+    InvariantSpec,
     NoReversiblePathError,
     RateMatrix,
     Reaction,
@@ -26,14 +28,15 @@ from kinvar import (
     butene_cycle,
     default_time_grid,
     dual_experiment,
+    dual_experiment_nonlinear,
     first_order_network,
     make_network,
     path_equilibrium_constant,
     ratio_limit_at_zero,
     resolve_expected_K,
 )
-from kinvar.invariants import _initial_rate
 from kinvar.network import first_order_view
+from kinvar.scenario import _closed_form_dual
 
 
 def _rebuilt(net):
@@ -241,44 +244,55 @@ def test_non_first_order_network_raises_as_before():
     net = make_network(["A", "B"], [Reaction(((0, 2),), ((1, 1),), 1.0, 1.0)])
     with pytest.raises(ValueError, match="merged rates need an all-first-order network"):
         path_equilibrium_constant(net, 0, 1)
-    with pytest.raises(ValueError):
-        _initial_rate(net, [1.0, 0.0], 1)
+    dual = dual_experiment_nonlinear(net, 0, 1, times=[0.0, 1e-3])
+    spec = InvariantSpec("linear_ratio", (0, 1), 1.0)
+    for limit in (ratio_limit_at_zero, kinds_reference.ratio_limit_at_zero):
+        with pytest.raises(ValueError):
+            limit(dual, spec)
 
 
 def _same_bits(x, y):
     return math.copysign(1.0, x) == math.copysign(1.0, y) and (x == y or x != x and y != y)
 
 
-def test_initial_rate_is_bit_identical_to_the_reaction_loop():
-    net = parallel_path_network()
-    rng = np.random.default_rng(3)
-    states = [list(row) for row in np.eye(net.n)]
-    states += [rng.uniform(0.0, 1.0, net.n).tolist() for _ in range(50)]
-    states += [[0.0] * net.n, [1e-300, 3.0, 1e300, 0.1]]
-    for c in states:
-        for s in range(net.n):
-            new, old = _initial_rate(net, c, s), view_reference.initial_rate(net, c, s)
-            assert _same_bits(new, old), (c, s, new, old)
-    # drain terms: each species loses mass when it is the only one present
-    for s in range(net.n):
-        assert _initial_rate(net, states[s], s) < 0.0
+def _assert_limits_match_the_reaction_loop(dual, spec):
+    try:
+        ref = kinds_reference.ratio_limit_at_zero(dual, spec)
+    except ZeroDivisionError:  # a and b are not neighbours
+        assert _limit(dual, spec) is None
+    else:
+        assert _same_bits(ratio_limit_at_zero(dual, spec), ref), (spec, ref)
 
 
 def test_t0_limit_is_bit_identical_on_every_pair():
-    net = parallel_path_network()
-    times = default_time_grid(build_rate_matrix(net), points=10)
-    for a in range(net.n):
-        for b in range(net.n):
-            if a == b:
-                continue
-            dual = dual_experiment(net, a, b, times)
-            spec = resolve_expected_K(net, "linear_ratio", a, b)
-            rate_b = view_reference.initial_rate(net, dual.from_a.concentrations[0].tolist(), b)
-            rate_a = view_reference.initial_rate(net, dual.from_b.concentrations[0].tolist(), a)
-            if rate_a == 0.0:  # a and b are not neighbours
-                assert _limit(dual, spec) is None
-            else:
-                assert _same_bits(ratio_limit_at_zero(dual, spec), rate_b / rate_a)
+    # linear duals, and nonlinear duals primed with the default amounts; on
+    # the seeded network only the pairs that hold species 0 run nonlinear
+    # (2 ms each at n = 50)
+    seeded = balanced_integer_network(np.random.default_rng(50), 50)[0]
+    for net in (parallel_path_network(), butene_cycle(), seeded):
+        times = default_time_grid(build_rate_matrix(net), points=10)
+        for a in range(net.n):
+            for b in range(net.n):
+                if a == b:
+                    continue
+                spec = resolve_expected_K(net, "linear_ratio", a, b)
+                _assert_limits_match_the_reaction_loop(dual_experiment(net, a, b, times),
+                                                       spec)
+                if net is seeded and 0 not in (a, b):
+                    continue
+                # the limit reads only the first row
+                nonlinear = dual_experiment_nonlinear(net, a, b, times=[0.0, 1e-3])
+                assert nonlinear.from_a.concentrations[0, a] == 1.0
+                _assert_limits_match_the_reaction_loop(nonlinear, spec)
+
+
+@pytest.mark.parametrize("net", [
+    first_order_network(["A", "B"], [("A", "B", 0.7, 0.3)]),
+    first_order_network(list("ABC"), [("A", "B", 0.7, 0.3), ("B", "C", 0.1, 0.0)])],
+    ids=["A<=>B", "A<=>B->C"])
+def test_t0_limit_of_the_closed_forms_is_bit_identical(net):
+    dual = _closed_form_dual(net, 0, 1, np.linspace(0.0, 1.0, 5))
+    _assert_limits_match_the_reaction_loop(dual, resolve_expected_K(net, "linear_ratio", 0, 1))
 
 
 def test_build_rate_matrix_returns_a_fresh_writable_array(rng):
